@@ -22,7 +22,8 @@ from fractions import Fraction
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
 from .scalar import PONE, RationalFunction, pdeg, pdivexact, pgcd, pmul
 from .terms import (Element, OpSymbol, Permutation, TermError, act_monomial,
-                    enumerate_monomials, normalize_tree, ops_table)
+                    enumerate_monomials, normalize_tree, ops_table,
+                    substitute_tree)
 
 DEFAULT_MAX_ARITY_EXACT = 6
 DEFAULT_MAX_ARITY_SAMPLED = 7
@@ -151,19 +152,13 @@ class MonomialContext:
                     else:
                         _, op, i, flip = kind
                         g = (op.name, fresh, i) if flip else (op.name, i, fresh)
-                        raw = _substitute_leaf(m.tree, i, g)
+                        raw = substitute_tree(m.tree, i, g)
                     sign, img = normalize_tree(raw, lambda nm: self.table[nm] if nm in self.table
                                                else target.table[nm])
                     table.append((target.index[img], sign))
                 tables.append(table)
             self._lift_tables = tables
         return self._lift_tables
-
-
-def _substitute_leaf(tree, var, g):
-    if isinstance(tree, int):
-        return g if tree == var else tree
-    return (tree[0], _substitute_leaf(tree[1], var, g), _substitute_leaf(tree[2], var, g))
 
 
 def get_context(ops, n) -> MonomialContext:

@@ -11,6 +11,12 @@ leading (smallest) columns, every stored row vanishes at every other row's
 pivot, and each row is content-free with a positive (leading coefficient of
 the) pivot entry.  That representation is canonical for the row space, which
 is what makes span comparison a structural equality.
+
+Beside the rows, RowBasis keeps an occurrence index: for each non-pivot
+column, a list of pivots whose rows may hold an entry there.  It is a
+superset (stale and repeated entries are allowed), so a new pivot is
+back-substituted only out of the rows listed under it rather than out of
+every stored row.
 """
 
 from __future__ import annotations
@@ -211,12 +217,18 @@ def _as_row(vec, domain):
 
 
 class RowBasis:
-    """Incremental fully-reduced row-echelon basis over a fraction-free domain."""
+    """Incremental fully-reduced row-echelon basis over a fraction-free domain.
+
+    ``occ`` maps each non-pivot column c to a list of pivots q; every stored
+    row q with an entry at c is listed there (the list may also name rows
+    that no longer hold c).  Pivot columns have no list.
+    """
 
     def __init__(self, ncols: int, domain=ZZDomain):
         self.ncols = ncols
         self.domain = domain
         self.rows = {}  # pivot column -> row dict
+        self.occ = {}   # non-pivot column -> pivots of rows that may hold it
 
     @property
     def rank(self) -> int:
@@ -228,6 +240,7 @@ class RowBasis:
     def copy(self) -> "RowBasis":
         out = RowBasis(self.ncols, self.domain)
         out.rows = {p: dict(r) for p, r in self.rows.items()}
+        out.occ = {c: list(qs) for c, qs in self.occ.items()}
         return out
 
     def _eliminate(self, r, s, p):
@@ -297,22 +310,27 @@ class RowBasis:
             neg = dom.neg
             for c in r:
                 r[c] = neg(r[c])
-        # back-substitute the new pivot out of every older row
-        for q, s in self.rows.items():
-            if p in s:
-                s2 = self._eliminate(s, r, p)
-                dom.reduce_row(s2)
-                if not dom.positive(s2[q]):
-                    neg = dom.neg
-                    for c in s2:
-                        s2[c] = neg(s2[c])
-                self.rows[q] = s2
-        self.rows[p] = r
+        # back-substitute the new pivot out of the older rows that hold it
+        rows, occ = self.rows, self.occ
+        for q in occ.pop(p, ()):
+            s = rows[q]
+            if p not in s:
+                continue
+            s2 = self._eliminate(s, r, p)
+            dom.reduce_row(s2)
+            if not dom.positive(s2[q]):
+                neg = dom.neg
+                for c in s2:
+                    s2[c] = neg(s2[c])
+            for c in s2:
+                if c not in s:
+                    occ.setdefault(c, []).append(q)
+            rows[q] = s2
+        for c in r:
+            if c != p:
+                occ.setdefault(c, []).append(p)
+        rows[p] = r
         return True
-
-    def reduce_insert(self, vec):
-        """Tuple-returning variant: (self, inserted flag)."""
-        return self, self.insert(vec)
 
     def finalize(self):
         """Bring every row to its canonical primitive form."""

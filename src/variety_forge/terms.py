@@ -376,11 +376,11 @@ def act_monomial(sigma: Permutation, mono: Monomial, table):
 # ---------------------------------------------------------------------------
 # substitution and multiplication by a fresh variable
 
-def _substitute_tree(tree, var, g_tree):
+def substitute_tree(tree, var, g_tree):
     if isinstance(tree, int):
         return g_tree if tree == var else tree
-    return (tree[0], _substitute_tree(tree[1], var, g_tree),
-            _substitute_tree(tree[2], var, g_tree))
+    return (tree[0], substitute_tree(tree[1], var, g_tree),
+            substitute_tree(tree[2], var, g_tree))
 
 
 def substitute(e: Element, var: int, g: Monomial, ops) -> Element:
@@ -398,7 +398,7 @@ def substitute(e: Element, var: int, g: Monomial, ops) -> Element:
     renum = {old: i + 1 for i, old in enumerate(new_labels)}
     out = Element(len(new_labels))
     for mono, coeff in e.terms.items():
-        raw = _substitute_tree(mono.tree, var, g.tree)
+        raw = substitute_tree(mono.tree, var, g.tree)
         raw = _relabel(raw, renum)
         sign, new = normalize_tree(raw, lambda n: _lookup(table, n))
         out._add(new, coeff if sign == 1 else coeff * (-1))

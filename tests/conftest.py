@@ -1,10 +1,8 @@
 """Shared strategies and helpers for the test suite."""
 
-import os
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 from variety_forge.scalar import RationalFunction
@@ -17,13 +15,6 @@ settings.load_profile("suite")
 
 TWO_OPS = (DOT, BRACKET)
 ONE_OP = (PLAIN,)
-
-
-def extended_enabled():
-    return os.environ.get("VARIETY_FORGE_EXTENDED") == "1"
-
-
-requires_extended = pytest.mark.extended
 
 
 def random_rational(rng, span=6):

@@ -1,16 +1,13 @@
 """Acceptance criteria, one test per criterion, exact values throughout.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one line per criterion.
-Extended-scale (arity-6) parts are non-blocking and gated behind
-VARIETY_FORGE_EXTENDED=1.
+The extended-scale (arity-6) parts run with the rest of the suite.
 """
 
 import itertools
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from variety_forge.catalog import (algebra, identity, one_op_variety,
                                    presentation, variety)
@@ -24,7 +21,7 @@ from variety_forge.operads import (compose, free_delta_p_basis, hilbert_series,
 from variety_forge.terms import (Permutation, act, depolarize_expr,
                                  polarize_expr)
 
-from conftest import ONE_OP, TWO_OPS, extended_enabled, random_element, seeded
+from conftest import ONE_OP, TWO_OPS, random_element, seeded
 
 F = Fraction
 
@@ -303,21 +300,13 @@ def test_criterion_14_property_suites():
     _report(14, time.time() - start, 60, "%d randomized property cases" % cases)
 
 
-@pytest.mark.extended
-def test_criterion_01_extended_arity_six(monkeypatch):
-    if not extended_enabled():
-        pytest.skip("extended scale: set VARIETY_FORGE_EXTENDED=1")
-    monkeypatch.setenv("VARIETY_FORGE_MAX_ARITY", "7")
+def test_criterion_01_extended_arity_six():
     start = time.time()
     assert dim_multilinear(variety("anti-poisson"), 6) == 145
     _report(1, time.time() - start, 1800, "extended: dim AP(6) = 145")
 
 
-@pytest.mark.extended
-def test_criterion_13_extended_arity_six(monkeypatch):
-    if not extended_enabled():
-        pytest.skip("extended scale: set VARIETY_FORGE_EXTENDED=1")
-    monkeypatch.setenv("VARIETY_FORGE_MAX_ARITY", "7")
+def test_criterion_13_extended_arity_six():
     start = time.time()
     report = free_delta_p_basis(6)
     assert report.counts == (120, 24, 1)

@@ -12,7 +12,7 @@ from variety_forge.engine import (ArityOverflowError, EngineError, Variety,
                                   parse_variety_text, row_to_element)
 from variety_forge.terms import Permutation, act
 
-from conftest import TWO_OPS, extended_enabled, requires_extended
+from conftest import TWO_OPS
 
 F = Fraction
 
@@ -197,10 +197,6 @@ def test_depolarize_variety_spans_polarized_image():
     assert is_consequence(dp, pol, 3)
 
 
-@requires_extended
-def test_extended_arity_six(monkeypatch):
-    if not extended_enabled():
-        pytest.skip("set VARIETY_FORGE_EXTENDED=1 to run arity-6 checks")
-    monkeypatch.setenv("VARIETY_FORGE_MAX_ARITY", "7")
+def test_extended_arity_six():
     assert dim_multilinear(variety("anti-poisson"), 6) == 145
     assert dim_multilinear(variety("mixed-poisson"), 6) == 121

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from variety_forge.linalg import (PolyDomain, RowBasis, SparseVector,
+from variety_forge.linalg import (PolyDomain, RowBasis, SparseVector, ZZDomain,
                                   nullspace, rank, sampled_delta_points)
-from variety_forge.scalar import DELTA
+from variety_forge.scalar import DELTA, RationalFunction, padd, pnormalize, pscale
 
 from conftest import seeded
 
@@ -30,32 +30,117 @@ MP_MIXED = [
 ]
 
 
-def _dense_rank_oracle(rows, ncols):
-    """Independent dense Gaussian elimination over Fraction."""
-    mat = [[F(r.get(c, 0)) for c in range(ncols)] for r in rows]
-    rk = 0
+def _dense_rref(rows, ncols, to_field=F):
+    """Independent dense Gauss-Jordan elimination; returns the nonzero RREF rows."""
+    mat = [[to_field(r[c]) if c in r else to_field(0) for c in range(ncols)]
+           for r in rows]
+    done = []
     for col in range(ncols):
         piv = next((r for r in mat if r[col]), None)
         if piv is None:
             continue
         mat.remove(piv)
-        rk += 1
-        for r in mat:
+        lead = piv[col]
+        piv = [v / lead for v in piv]
+        for r in mat + done:
             if r[col]:
-                f = r[col] / piv[col]
+                f = r[col]
                 for c in range(ncols):
                     r[c] -= f * piv[c]
-    return rk
+        done.append(piv)
+    return [{c: v for c, v in enumerate(r) if v} for r in done]
 
 
-def test_reduce_insert_examples():
+def test_insert_examples():
     basis = RowBasis(4)
-    basis, inserted = basis.reduce_insert(SparseVector(4, {0: F(1), 2: F(2)}))
-    assert inserted and basis.rank == 1
-    basis, inserted = basis.reduce_insert(SparseVector(4, {0: F(2), 2: F(4)}))
-    assert not inserted and basis.rank == 1
-    basis, inserted = basis.reduce_insert(SparseVector(4, {1: F(1)}))
-    assert inserted and basis.rank == 2
+    assert basis.insert(SparseVector(4, {0: F(1), 2: F(2)}))
+    assert basis.rank == 1
+    assert not basis.insert(SparseVector(4, {0: F(2), 2: F(4)}))
+    assert basis.rank == 1
+    assert basis.insert(SparseVector(4, {1: F(1)}))
+    assert basis.rank == 2
+
+
+def test_copy_is_independent():
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}]   # both rows hold non-pivot column 2
+
+    def fresh(*extra):
+        b = RowBasis(4)
+        for r in rows + list(extra):
+            b.insert(r)
+        return b.canonical_rows()
+
+    for into_copy in (True, False):
+        src = RowBasis(4)
+        for r in rows:
+            src.insert(r)
+        dup = src.copy()
+        changed, kept = (dup, src) if into_copy else (src, dup)
+        assert changed.insert({2: 1})     # column 2 becomes a pivot there only
+        assert kept.canonical_rows() == fresh()
+        assert kept.insert({2: 1, 3: 1})  # the other still back-substitutes 2
+        assert kept.canonical_rows() == fresh({2: 1, 3: 1})
+        assert changed.canonical_rows() == fresh({2: 1})
+
+
+def _fill_and_cancel_rows(rng, ncols, poly):
+    """Dense random rows plus combinations of them.
+
+    The combinations make inserts reject and entries cancel to zero during
+    back-substitution; the density makes back-substitution fill columns.
+    """
+    def entry():
+        if poly:
+            return pnormalize(rng.randint(-2, 2) for _ in range(rng.randint(1, 2)))
+        return rng.randint(-3, 3)
+
+    def combine(x, y, kx, ky):
+        if poly:
+            return padd(pscale(x, kx), pscale(y, ky))
+        return kx * x + ky * y
+
+    zero = () if poly else 0
+    base = []
+    for _ in range(rng.randint(1, ncols)):
+        row = {c: entry() for c in range(ncols) if rng.random() < 0.6}
+        base.append({c: v for c, v in row.items() if v})
+    rows = list(base)
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(base), rng.choice(base)
+        ka, kb = rng.choice([1, -1, 2]), rng.choice([1, -2, 3])
+        combo = {c: combine(a.get(c, zero), b.get(c, zero), ka, kb)
+                 for c in set(a) | set(b)}
+        rows.append({c: v for c, v in combo.items() if v})
+    rng.shuffle(rows)
+    return [r for r in rows if r]
+
+
+def _check_against_reference(rng, ncols, poly):
+    domain, to_field = (PolyDomain, RationalFunction) if poly else (ZZDomain, F)
+    rows = _fill_and_cancel_rows(rng, ncols, poly)
+    ref = _dense_rref(rows, ncols, to_field)
+    canonical = []
+    for _ in range(3):  # the generated order, then two shuffles
+        basis = RowBasis(ncols, domain)
+        for r in rows:
+            basis.insert(r)
+        assert basis.rank == len(ref)
+        assert [vec.entries for vec in basis.field_rows()] == ref
+        canonical.append(basis.canonical_rows())
+        rng.shuffle(rows)
+    assert canonical[0] == canonical[1] == canonical[2]
+
+
+@given(st.integers(0, 10 ** 6))
+def test_row_basis_matches_dense_reference_over_q(seed):
+    rng = seeded(seed)
+    _check_against_reference(rng, rng.randint(2, 9), poly=False)
+
+
+@given(st.integers(0, 10 ** 6))
+def test_row_basis_matches_dense_reference_over_qd(seed):
+    rng = seeded(seed)
+    _check_against_reference(rng, rng.randint(2, 6), poly=True)
 
 
 def test_reference_matrix_ranks():
@@ -63,7 +148,7 @@ def test_reference_matrix_ranks():
     # the six-row matrix has full mixed rank (a hand reduction gives e1, e2,
     # e3 from the row sums and an invertible 3x3 block on the rest)
     assert rank(MP_MIXED, 6) == 6
-    assert _dense_rank_oracle(MP_MIXED, 6) == 6
+    assert len(_dense_rref(MP_MIXED, 6)) == 6
     assert rank([], 3) == 0
     assert rank([{0: 1}, {1: 1}, {2: 1}], 3) == 3
 
@@ -102,7 +187,6 @@ def test_canonical_rows_are_span_invariants():
 
 
 def _random_sparse_rows(rng, nrows, ncols, poly):
-    from variety_forge.scalar import pnormalize
     rows = []
     for _ in range(nrows):
         row = {}
@@ -126,7 +210,7 @@ def test_rank_nullity_over_q(seed):
     ncols = rng.randint(2, 8)
     rows = _random_sparse_rows(rng, rng.randint(1, 6), ncols, poly=False)
     rk = rank(rows, ncols)
-    assert rk == _dense_rank_oracle(rows, ncols)
+    assert rk == len(_dense_rref(rows, ncols))
     assert rk + nullspace(rows, ncols).rank == ncols
     # kernel vectors annihilate every row
     for vec in nullspace(rows, ncols).field_rows():
