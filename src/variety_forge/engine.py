@@ -15,18 +15,19 @@ fraction-free representation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from fractions import Fraction
 
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
 from .scalar import PONE, RationalFunction, pdeg, pdivexact, pgcd, pmul
-from .terms import (Element, OpSymbol, Permutation, TermError, act_monomial,
-                    enumerate_monomials, normalize_tree, ops_table,
-                    substitute_tree)
+from .terms import (ANTISYMMETRIC, NONE, Element, OpSymbol, Permutation,
+                    TermError, enumerate_coded, ops_table)
 
-DEFAULT_MAX_ARITY_EXACT = 6
-DEFAULT_MAX_ARITY_SAMPLED = 7
+# arity 7 is out of reach in either mode: building its context alone takes
+# about 9 s and 480 MB, before any row is inserted
+DEFAULT_MAX_ARITY = 6
 
 
 class EngineError(ValueError):
@@ -37,11 +38,11 @@ class ArityOverflowError(EngineError):
     """Requested arity exceeds the configured resource guard."""
 
 
-def max_arity(mode: str) -> int:
+def max_arity() -> int:
     env = os.environ.get("VARIETY_FORGE_MAX_ARITY")
     if env:
         return int(env)
-    return DEFAULT_MAX_ARITY_EXACT if mode == "exact" else DEFAULT_MAX_ARITY_SAMPLED
+    return DEFAULT_MAX_ARITY
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +102,60 @@ _CONTEXTS = {}
 
 
 class MonomialContext:
+    """The canonical monomials of one arity and the index maps on them.
+
+    ``nodes`` codes every canonical subtree over every subset of 1..n as in
+    ``terms.enumerate_coded``: ids below ``len(monomials)`` are column
+    indices, and a proper subtree's children have smaller ids than it.
+    ``node_id`` inverts ``nodes``.  An index map is built by one pass over the
+    ids: the image of a node is the join of its children's images, found by
+    lookup alone, so no tree is renormalised.  A signed image is ``~id``.
+    The monomial keys share their interned shape, op-word and leaf-word
+    tuples, which pays for the memory of the subtree registry.
+    """
+
     def __init__(self, ops, n):
         self.ops = tuple(ops)
         self.n = n
         self.table = ops_table(ops)
-        self.monomials = enumerate_monomials(n, ops)
+        self.monomials, self.nodes = enumerate_coded(n, ops)
+        self.node_id = {code: i for i, code in enumerate(self.nodes)}
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self._perm_tables = None
         self._lift_tables = None
+
+    def _join(self, name, a, b):
+        """Signed id of the canonical form of name(a, b), a and b signed ids."""
+        neg = False
+        if a < 0:
+            a, neg = ~a, True
+        if b < 0:
+            b, neg = ~b, not neg
+        i = self.node_id.get((name, a, b))
+        if i is None:
+            # only the other order is canonical: name is (anti)symmetric
+            i = self.node_id[(name, b, a)]
+            if self.table[name] == ANTISYMMETRIC:
+                neg = not neg
+        return ~i if neg else i
+
+    def _images(self, leaf_image, target):
+        """Signed target ids of all nodes, given the images of the leaves."""
+        nodes = self.nodes
+        join = target._join
+        img = [0] * len(nodes)
+        top = len(self.monomials)
+        # children before parents: proper subtrees in id order, then the top
+        for i in itertools.chain(range(top, len(nodes)), range(top)):
+            code = nodes[i]
+            if code.__class__ is int:
+                img[i] = leaf_image[code]
+            else:
+                img[i] = join(code[0], img[code[1]], img[code[2]])
+        return img
+
+    def _index_map(self, images):
+        return [(j, 1) if j >= 0 else (~j, -1) for j in images[:len(self.monomials)]]
 
     def perm_generator_tables(self):
         """Index maps for the S_n generators (1 2) and (1 2 ... n)."""
@@ -118,45 +165,33 @@ class MonomialContext:
                 gens.append(Permutation.transposition(self.n, 1, 2))
             if self.n >= 3:
                 gens.append(Permutation.cycle(self.n))
-            self._perm_tables = [self._table_for_perm(s) for s in gens]
+            leaf = self.node_id
+            self._perm_tables = [
+                self._index_map(self._images(
+                    {i: leaf[s(i)] for i in range(1, self.n + 1)}, self))
+                for s in gens]
         return self._perm_tables
 
-    def _table_for_perm(self, sigma):
-        out = []
-        for m in self.monomials:
-            sign, img = act_monomial(sigma, m, self.table)
-            out.append((self.index[img], sign))
-        return out
-
-    def perm_table(self, sigma):
-        return self._table_for_perm(sigma)
-
     def lift_tables(self, target: "MonomialContext"):
-        """Index maps arity n -> n+1 for all elementary consequence steps."""
+        """Index maps arity n -> n+1 for all elementary consequence steps.
+
+        Per operation and orientation: multiplication by the fresh variable,
+        then the substitutions x_i <- op(x_i, x_{n+1}) for i = 1..n.
+        """
         if self._lift_tables is None:
-            fresh = self.n + 1
-            kinds = []
-            for op in self.ops:
-                orientations = ((False,) if op.symmetry != "none" else (False, True))
-                for flip in orientations:
-                    kinds.append(("mul", op, flip))
-                    for i in range(1, self.n + 1):
-                        kinds.append(("subst", op, i, flip))
+            join = target._join
+            same = {i: target.node_id[i] for i in range(1, self.n + 1)}
+            fresh = target.node_id[self.n + 1]
+            embedded = self._images(same, target)[:len(self.monomials)]
             tables = []
-            for kind in kinds:
-                table = []
-                for m in self.monomials:
-                    if kind[0] == "mul":
-                        _, op, flip = kind
-                        raw = (op.name, fresh, m.tree) if flip else (op.name, m.tree, fresh)
-                    else:
-                        _, op, i, flip = kind
-                        g = (op.name, fresh, i) if flip else (op.name, i, fresh)
-                        raw = substitute_tree(m.tree, i, g)
-                    sign, img = normalize_tree(raw, lambda nm: self.table[nm] if nm in self.table
-                                               else target.table[nm])
-                    table.append((target.index[img], sign))
-                tables.append(table)
+            for op in self.ops:
+                for flip in ((False,) if op.symmetry != NONE else (False, True)):
+                    def times_fresh(a):
+                        return join(op.name, fresh, a) if flip else join(op.name, a, fresh)
+                    tables.append(self._index_map([times_fresh(m) for m in embedded]))
+                    for i in range(1, self.n + 1):
+                        tables.append(self._index_map(self._images(
+                            {**same, i: times_fresh(same[i])}, target)))
             self._lift_tables = tables
         return self._lift_tables
 
@@ -264,11 +299,11 @@ def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
     """Row span of the degree-n multilinear component of v's T-ideal."""
     if n < 1:
         raise EngineError("arity must be positive")
-    guard = max_arity(mode)
+    guard = max_arity()
     if n > guard:
         raise ArityOverflowError(
-            "arity %d exceeds the configured guard %d for %s mode "
-            "(set VARIETY_FORGE_MAX_ARITY to override)" % (n, guard, mode))
+            "arity %d exceeds the configured guard %d "
+            "(set VARIETY_FORGE_MAX_ARITY to override)" % (n, guard))
     key = (v.cache_key(), n, mode)
     hit = _SPACE_CACHE.get(key)
     if hit is not None:

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 
 from .scalar import (PONE, RationalFunction, pcontent, pdeg, pdivexact,
-                     pgcd, pmul, pneg, psub)
+                     pgcd, pmul, pneg, pnormalize, psub)
 
 
 class LinalgError(ValueError):
@@ -42,6 +42,10 @@ class ZZDomain:
     @staticmethod
     def is_entry(v):
         return isinstance(v, int)
+
+    @staticmethod
+    def canonical_copy(row):
+        return {c: v for c, v in row.items() if v}
 
     @staticmethod
     def mul(a, b):
@@ -99,6 +103,16 @@ class PolyDomain:
     @staticmethod
     def is_entry(v):
         return isinstance(v, tuple)
+
+    @staticmethod
+    def canonical_copy(row):
+        out = {}
+        for c, v in row.items():
+            if v and not v[-1]:
+                v = pnormalize(v)
+            if v:
+                out[c] = v
+        return out
 
     @staticmethod
     def mul(a, b):
@@ -268,12 +282,15 @@ class RowBasis:
     def _reduce(self, row):
         """Fully reduce a row against the basis; returns the remainder.
 
+        The row is copied in canonical form (no zero entries, normalized
+        polynomials), so a caller may pass entries such as 0 or (1, 0).
+
         Because stored rows carry no entries at any other pivot column, a
         single pass over the pivot-colliding columns cannot reintroduce one;
         the outer loop is a safety net and normally runs once.
         """
         rows = self.rows
-        r = dict(row)
+        r = self.domain.canonical_copy(row)
         steps = 0
         while r:
             hit = sorted(c for c in r if c in rows)

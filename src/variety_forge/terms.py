@@ -7,6 +7,12 @@ Canonical form orders the children of every symmetric or antisymmetric node by
 the fixed total order on subtrees (shape, then operation labels, then the leaf
 word); reordering under an antisymmetric node flips the sign.
 
+Enumeration (``enumerate_coded``) also gives every canonical subtree over
+every nonempty subset of 1..n an integer id.  The arity-n monomials take ids
+0..N-1 in the total order, so an id is a column index; the proper subtrees
+follow, each after its children.  The keys of enumerated monomials intern
+their shape, op-word and leaf-word tuples: equal tuples are one shared object.
+
 Elements are finite sums of canonical monomials with coefficients in Q(d);
 an identity is an element asserted to vanish.
 """
@@ -436,59 +442,110 @@ def enumerate_monomials(n: int, ops) -> list:
 
     For k operations all carrying a symmetry the count is (2n-3)!! * k^(n-1).
     """
+    return enumerate_coded(n, ops)[0]
+
+
+def enumerate_coded(n: int, ops):
+    """Canonical monomials of arity n and an integer code for every subtree.
+
+    Returns (monomials, nodes).  ``nodes`` holds every canonical subtree over
+    every nonempty subset of 1..n, each once: a leaf as its label, any other
+    subtree as ``(op_name, left_id, right_id)``.  Ids 0..len(monomials)-1 are
+    the arity-n monomials in the total order (their column indices); the
+    proper subtrees follow, each after its children.
+
+    The shape, op-word and leaf-word tuples of the monomial keys are interned:
+    equal tuples are one object, and there are few distinct ones (for dot and
+    bracket at n=6, 6 shapes, 32 op-words and 360 leaf-words over 30240
+    monomials), so the keys take little memory.
+    """
     if n < 1:
         raise TermError("arity must be positive")
-    ops = tuple(ops)
-    monos = _enum_rec(frozenset(range(1, n + 1)), ops, {})
-    return sorted(monos, key=lambda m: m.key)
-
-
-def _enum_rec(leafset, ops, cache):
-    if leafset in cache:
-        return cache[leafset]
-    if len(leafset) == 1:
-        (leaf,) = leafset
+    coder = _SubtreeCoder(ops)
+    top = coder.subtrees(frozenset(range(1, n + 1)))
+    keys, trees, codes = coder.keys, coder.trees, coder.codes
+    top.sort(key=keys.__getitem__)
+    # the coder records a subtree only after its children, so keeping that
+    # order for the proper subtrees keeps every child before its parent
+    at_top = set(top)
+    order = top + [t for t in range(len(codes)) if t not in at_top]
+    new_id = [0] * len(order)
+    for i, t in enumerate(order):
+        new_id[t] = i
+    nodes = []
+    for t in order:
+        code = codes[t]
+        if code.__class__ is not int:
+            code = (code[0], new_id[code[1]], new_id[code[2]])
+        nodes.append(code)
+    monomials = []
+    for t in top:
         m = Monomial.__new__(Monomial)
-        m.tree = leaf
-        m.arity = 1
-        m._key = _tree_key(leaf)
+        m.tree = trees[t]
+        m.arity = n
+        m._key = keys[t]
         m._hash = hash(m._key)
-        out = [m]
-        cache[leafset] = out
-        return out
-    out = []
-    members = sorted(leafset)
-    anchor = members[0]
-    rest = members[1:]
-    # unordered partitions: the block containing the smallest leaf is A
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            a = frozenset((anchor,) + extra)
-            b = leafset - a
-            if not b:
-                continue
-            for op in ops:
-                for la in _enum_rec(a, ops, cache):
-                    for rb in _enum_rec(b, ops, cache):
-                        if op.symmetry == NONE:
-                            out.append(_make_node(op.name, la, rb))
-                            out.append(_make_node(op.name, rb, la))
-                        else:
-                            if la.key <= rb.key:
-                                out.append(_make_node(op.name, la, rb))
+        monomials.append(m)
+    return monomials, nodes
+
+
+class _SubtreeCoder:
+    """Canonical subtrees by leaf set, each recorded once under a temporary id.
+
+    Per id: the key (components interned), the nested-tuple tree, and the
+    code, a leaf label or (op_name, left_id, right_id).
+    """
+
+    def __init__(self, ops):
+        self.ops = tuple(ops)
+        self.keys, self.trees, self.codes = [], [], []
+        self._intern = {}
+        self._by_leafset = {}
+
+    def subtrees(self, leafset):
+        """Ids of every canonical subtree over leafset."""
+        out = self._by_leafset.get(leafset)
+        if out is not None:
+            return out
+        out = []
+        if len(leafset) == 1:
+            (leaf,) = leafset
+            out.append(self._record(leaf, leaf, ((1,), (), (leaf,))))
+        members = sorted(leafset)
+        anchor = members[0]
+        rest = members[1:]
+        keys = self.keys
+        # unordered partitions: A holds the smallest leaf, B = leafset - A is
+        # nonempty
+        for r in range(len(rest)):
+            for extra in itertools.combinations(rest, r):
+                a = frozenset((anchor,) + extra)
+                ids_a, ids_b = self.subtrees(a), self.subtrees(leafset - a)
+                for op in self.ops:
+                    for x in ids_a:
+                        for y in ids_b:
+                            if op.symmetry == NONE:
+                                out.append(self._node(op.name, x, y))
+                                out.append(self._node(op.name, y, x))
+                            elif keys[x] <= keys[y]:
+                                out.append(self._node(op.name, x, y))
                             else:
-                                out.append(_make_node(op.name, rb, la))
-    cache[leafset] = out
-    return out
+                                out.append(self._node(op.name, y, x))
+        self._by_leafset[leafset] = out
+        return out
 
+    def _node(self, name, x, y):
+        # _tree_key of (name, tree_x, tree_y), composed from the children's keys
+        kx, ky = self.keys[x], self.keys[y]
+        key = ((0,) + kx[0] + ky[0], (name,) + kx[1] + ky[1], kx[2] + ky[2])
+        return self._record((name, x, y), (name, self.trees[x], self.trees[y]), key)
 
-def _make_node(name, left: Monomial, right: Monomial) -> Monomial:
-    m = Monomial.__new__(Monomial)
-    m.tree = (name, left.tree, right.tree)
-    m.arity = left.arity + right.arity
-    m._key = _tree_key(m.tree)
-    m._hash = hash(m._key)
-    return m
+    def _record(self, code, tree, key):
+        intern = self._intern
+        self.keys.append(tuple(intern.setdefault(part, part) for part in key))
+        self.trees.append(tree)
+        self.codes.append(code)
+        return len(self.codes) - 1
 
 
 def double_factorial_count(n: int, k: int) -> int:

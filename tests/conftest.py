@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 
 from variety_forge.scalar import RationalFunction
-from variety_forge.terms import BRACKET, DOT, PLAIN, Element, enumerate_monomials
+from variety_forge.terms import BRACKET, DOT, PLAIN, Element, OpSymbol, enumerate_monomials
 
 settings.register_profile(
     "suite", deadline=None, max_examples=60,
@@ -15,6 +15,17 @@ settings.load_profile("suite")
 
 TWO_OPS = (DOT, BRACKET)
 ONE_OP = (PLAIN,)
+# operation sets for the subtree-code and index-map tests: each symmetry
+# alone, a symmetric with an unordered operation, all three together, and
+# the dot/bracket pair of the catalog varieties
+OP_SETS = {
+    "m": ONE_OP,
+    "dot": (DOT,),
+    "bracket": (BRACKET,),
+    "dot+m": (DOT, PLAIN),
+    "a+bracket+dot": (OpSymbol("a", "none"), BRACKET, DOT),
+    "dot+bracket": TWO_OPS,
+}
 
 
 def random_rational(rng, span=6):

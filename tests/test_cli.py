@@ -137,10 +137,14 @@ def test_sampled_mode(capsys):
     assert "dim=12" in out and "certified=upper-bound" in out
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
+    monkeypatch.delenv("VARIETY_FORGE_MAX_ARITY", raising=False)
     code, _, err = run(capsys, "dim", "no-such-thing", "--arity", "3", "--no-timing")
     assert code == 2 and "no such file or catalog variety" in err
     code, _, err = run(capsys, "dim", "delta-poisson", "--arity", "9", "--no-timing")
+    assert code == 3 and "guard" in err
+    code, _, err = run(capsys, "dim", "delta-poisson", "--arity", "7",
+                       "--mode", "sampled", "--no-timing")
     assert code == 3 and "guard" in err
     code, _, err = run(capsys, "check", "A1", "no-such-variety", "--no-timing")
     assert code == 2

@@ -1,18 +1,23 @@
 """Consequence spaces: dimensions, membership, equivalence, stability."""
 
+import gc
 import itertools
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 from variety_forge.catalog import algebra, identity, one_op_variety, variety
-from variety_forge.engine import (ArityOverflowError, EngineError, Variety,
+from variety_forge.engine import (ArityOverflowError, EngineError,
+                                  MonomialContext, Variety, clear_cache,
                                   consequences, depolarize_variety,
                                   dim_multilinear, equivalent, format_variety,
                                   get_context, is_consequence,
                                   parse_variety_text, row_to_element)
-from variety_forge.terms import Permutation, act
+from variety_forge.terms import (Permutation, act, act_monomial, normalize_tree,
+                                 substitute_tree)
 
-from conftest import TWO_OPS
+from conftest import OP_SETS, TWO_OPS
 
 F = Fraction
 
@@ -104,6 +109,9 @@ def test_arity_guard(monkeypatch):
     monkeypatch.delenv("VARIETY_FORGE_MAX_ARITY", raising=False)
     with pytest.raises(ArityOverflowError):
         dim_multilinear(variety("delta-poisson"), 7)
+    # one guard for both modes: sampled mode promises no more than exact
+    with pytest.raises(ArityOverflowError):
+        dim_multilinear(variety("delta-poisson"), 7, mode="sampled")
     monkeypatch.setenv("VARIETY_FORGE_MAX_ARITY", "3")
     with pytest.raises(ArityOverflowError):
         dim_multilinear(variety("delta-poisson"), 4)
@@ -200,3 +208,79 @@ def test_depolarize_variety_spans_polarized_image():
 def test_extended_arity_six():
     assert dim_multilinear(variety("anti-poisson"), 6) == 145
     assert dim_multilinear(variety("mixed-poisson"), 6) == 121
+
+
+# ---------------------------------------------------------------------------
+# index maps, against tables built by renormalising every tree
+
+def _reference_perm_tables(ctx):
+    gens = []
+    if ctx.n >= 2:
+        gens.append(Permutation.transposition(ctx.n, 1, 2))
+    if ctx.n >= 3:
+        gens.append(Permutation.cycle(ctx.n))
+    tables = []
+    for sigma in gens:
+        table = []
+        for m in ctx.monomials:
+            sign, img = act_monomial(sigma, m, ctx.table)
+            table.append((ctx.index[img], sign))
+        tables.append(table)
+    return tables
+
+
+def _reference_lift_tables(ctx, target):
+    fresh = ctx.n + 1
+    tables = []
+    for op in ctx.ops:
+        for flip in ((False,) if op.symmetry != "none" else (False, True)):
+            raws = [[(op.name, fresh, m.tree) if flip else (op.name, m.tree, fresh)
+                     for m in ctx.monomials]]
+            for i in range(1, ctx.n + 1):
+                g = (op.name, fresh, i) if flip else (op.name, i, fresh)
+                raws.append([substitute_tree(m.tree, i, g) for m in ctx.monomials])
+            for trees in raws:
+                table = []
+                for raw in trees:
+                    sign, img = normalize_tree(raw, target.table)
+                    table.append((target.index[img], sign))
+                tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(OP_SETS))
+def test_index_maps_match_renormalised_trees(name):
+    ops = OP_SETS[name]
+    contexts = [MonomialContext(ops, n) for n in range(1, 6)]
+    for ctx, target in zip(contexts, contexts[1:] + [None]):
+        assert ctx.perm_generator_tables() == _reference_perm_tables(ctx)
+        if target is not None:
+            assert ctx.lift_tables(target) == _reference_lift_tables(ctx, target)
+
+
+def test_index_maps_match_renormalised_trees_at_arity_six():
+    ops = variety("anti-poisson").ops
+    ctx5, ctx6 = MonomialContext(ops, 5), MonomialContext(ops, 6)
+    assert ctx5.lift_tables(ctx6) == _reference_lift_tables(ctx5, ctx6)
+    assert ctx6.perm_generator_tables() == _reference_perm_tables(ctx6)
+
+
+def test_contexts_and_tables_die_with_the_cache():
+    # freed by reference counting alone: a reference cycle through a context
+    # would keep it and its tables alive until a cyclic collection
+    clear_cache()
+    gc.collect()
+    gc.disable()
+    try:
+        v = variety("anti-poisson")
+        assert dim_multilinear(v, 4) == 12
+        contexts = [get_context(v.ops, n) for n in (3, 4)]
+        tables = contexts[0].lift_tables(contexts[1]) + contexts[1].perm_generator_tables()
+        refs = [weakref.ref(ctx) for ctx in contexts]
+        del contexts
+        clear_cache()
+        assert [r() for r in refs] == [None, None]
+        # held only by `tables`, the loop variable and getrefcount's argument
+        assert {sys.getrefcount(t) for t in tables} == {3}
+    finally:
+        gc.enable()

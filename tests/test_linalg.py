@@ -61,6 +61,29 @@ def test_insert_examples():
     assert basis.rank == 2
 
 
+def test_insert_normalizes_trailing_zero_coefficients():
+    padded, plain = RowBasis(2, PolyDomain), RowBasis(2, PolyDomain)
+    assert padded.insert({0: (1, 0), 1: (1,)})
+    assert plain.insert({0: (1,), 1: (1,)})
+    assert padded == plain
+    assert padded.rows == {0: {0: (1,), 1: (1,)}}
+
+
+def test_insert_drops_zero_polynomial_entries():
+    basis = RowBasis(2, PolyDomain)
+    assert basis.insert({0: (0, 0), 1: (1,)})
+    assert basis.rows == {1: {1: (1,)}}
+    assert not basis.insert({0: (), 1: (2,)})
+
+
+def test_insert_drops_zero_int_entries():
+    basis = RowBasis(2)
+    assert basis.insert({0: 0, 1: 1})
+    assert basis.pivots() == [1] and basis.rows == {1: {1: 1}}
+    assert basis.insert({0: 3})
+    assert basis.rank == 2
+
+
 def test_copy_is_independent():
     rows = [{0: 1, 2: 1}, {1: 1, 2: 1}]   # both rows hold non-pivot column 2
 

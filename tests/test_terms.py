@@ -10,11 +10,12 @@ from variety_forge.scalar import RF_ONE
 from variety_forge.terms import (BRACKET, DOT, OpSymbol,
                                  Permutation, TermError, act,
                                  double_factorial_count, depolarize_expr,
-                                 enumerate_monomials, multilinearize,
+                                 enumerate_coded, enumerate_monomials,
+                                 multilinearize,
                                  multiply_by_var, normalize, polarize_expr,
                                  substitute)
 
-from conftest import ONE_OP, TWO_OPS, random_element, seeded
+from conftest import ONE_OP, OP_SETS, TWO_OPS, random_element, seeded
 
 
 def test_normalize_examples():
@@ -76,6 +77,58 @@ def test_enumerate_matches_bruteforce_normalization():
             _, mono = normalize(tree, TWO_OPS)
             seen.add(mono)
     assert seen == set(enumerate_monomials(3, TWO_OPS))
+
+
+def _ordered_trees(leaves, names):
+    if len(leaves) == 1:
+        yield leaves[0]
+        return
+    for cut in range(1, len(leaves)):
+        for left in _ordered_trees(leaves[:cut], names):
+            for right in _ordered_trees(leaves[cut:], names):
+                for name in names:
+                    yield (name, left, right)
+
+
+def _decode(nodes, i):
+    code = nodes[i]
+    if isinstance(code, int):
+        return code
+    return (code[0], _decode(nodes, code[1]), _decode(nodes, code[2]))
+
+
+@pytest.mark.parametrize("name", sorted(OP_SETS))
+def test_coded_enumeration(name):
+    ops = OP_SETS[name]
+    names = [op.name for op in ops]
+    for n in range(1, 5):
+        monos, nodes = enumerate_coded(n, ops)
+        # the arity-n monomials are exactly the normalized raw trees, sorted
+        seen = set()
+        for perm in itertools.permutations(range(1, n + 1)):
+            for tree in _ordered_trees(list(perm), names):
+                seen.add(normalize(tree, ops)[1])
+        assert monos == sorted(seen) == enumerate_monomials(n, ops)
+        assert [m.key for m in monos] == sorted(m.key for m in monos)
+        top = len(monos)
+        for i, code in enumerate(nodes):
+            if isinstance(code, tuple):
+                children = code[1:]
+                if i < top:
+                    assert all(c >= top for c in children)
+                else:
+                    assert all(c < i for c in children)
+        trees = [_decode(nodes, i) for i in range(len(nodes))]
+        assert trees[:top] == [m.tree for m in monos]
+        # every canonical subtree over every nonempty subset of 1..n, once
+        by_leafset = {}
+        for tree in trees:
+            sign, mono = normalize(tree, ops, fragment=True)
+            assert sign == 1 and mono.tree == tree
+            by_leafset.setdefault(frozenset(mono.leaves()), []).append(tree)
+        assert len(by_leafset) == 2 ** n - 1
+        for leafset, group in by_leafset.items():
+            assert len(set(group)) == len(group) == len(enumerate_monomials(len(leafset), ops))
 
 
 def test_enumerate_order_is_deterministic():
