@@ -9,17 +9,16 @@ catalog (every named identity, variety and example algebra), cli.
 
 from .algebras import (Algebra, AlgebraError, CheckReport, load_algebra,
                        merge_polarization, split_polarization, tensor)
-from .catalog import (algebra, identity, identity_catalog, one_op_variety,
-                      presentation, variety)
+from .catalog import algebra, identity, one_op_variety, presentation, variety
 from .engine import (ArityOverflowError, ConsequenceSpace, EngineError,
                      Variety, consequences, depolarize_variety,
                      dim_multilinear, equivalent, is_consequence, load_variety)
-from .exprs import format_element, parse_expr
-from .linalg import RowBasis, SparseVector, nullspace, rank
+from .exprs import format_element, parse_expr, parse_scalar
+from .linalg import RowBasis, nullspace, rank
 from .operads import (FreeBasisReport, KoszulVerdict, QuadraticPresentation,
                       Series, compose, dual_relation_matrix, free_delta_p_basis,
                       hilbert_series, koszul_dual, koszulness_witness)
-from .scalar import DELTA, PoleError, RationalFunction, parse_scalar
+from .scalar import DELTA, PoleError, RationalFunction
 from .terms import (BRACKET, DOT, Element, Monomial, OpSymbol, Permutation,
                     act, depolarize_expr, enumerate_monomials, multilinearize,
                     multiply_by_var, normalize, polarize_expr, substitute)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .linalg import RowBasis, ZZDomain, rank, to_row
 from .terms import BRACKET, DOT, Element, OpSymbol, ops_table
 
 _F = Fraction
@@ -156,32 +157,29 @@ class Algebra:
 
     def bracket_is_perfect(self) -> bool:
         """Span of all bracket values equals the whole algebra."""
-        span = []
-        for value in self.tables.get("bracket", {}).values():
-            vec = [value.get(k, _F(0)) for k in range(self.dim)]
-            span.append(vec)
-        return _rank_dense(span) == self.dim
+        rows = [to_row(v, ZZDomain) for v in self.tables.get("bracket", {}).values()]
+        return rank(rows, self.dim) == self.dim
 
-    def ideal_closure(self, vectors):
-        """Smallest subspace containing the vectors and all products with
-        basis elements, as a list of spanning dense rows."""
-        span = [list(v) for v in vectors]
-        changed = True
-        while changed:
-            changed = False
-            current = [dict(enumerate(v)) for v in span]
-            for vec in current:
-                vec = {k: c for k, c in vec.items() if c}
-                for op in self.tables:
-                    for i in range(self.dim):
-                        basis_vec = {i: _F(1)}
-                        for prod in (self.apply(op, basis_vec, vec),
-                                     self.apply(op, vec, basis_vec)):
-                            dense = [prod.get(k, _F(0)) for k in range(self.dim)]
-                            if _extends_span(span, dense):
-                                span.append(dense)
-                                changed = True
-        return span
+    def ideal_closure(self, vectors) -> RowBasis:
+        """Smallest subspace containing the vectors (sparse {index: coeff})
+        and all their products with basis elements, as a RowBasis over Z."""
+        basis = RowBasis(self.dim)
+        queue = []
+
+        def add(vec):
+            row = to_row(vec, ZZDomain)
+            if basis.insert(row):
+                queue.append(row)
+
+        for vec in vectors:
+            add(vec)
+        while queue:
+            vec = queue.pop()
+            for op in self.tables:
+                for i in range(self.dim):
+                    add(self.apply(op, {i: 1}, vec))
+                    add(self.apply(op, vec, {i: 1}))
+        return basis
 
     def proper_ideal_from_basis_subsets(self):
         """A proper nonzero ideal generated by a basis-vector subset, if any.
@@ -191,13 +189,7 @@ class Algebra:
         """
         for size in range(1, self.dim):
             for subset in itertools.combinations(range(self.dim), size):
-                seed = []
-                for i in subset:
-                    vec = [_F(0)] * self.dim
-                    vec[i] = _F(1)
-                    seed.append(vec)
-                closure = self.ideal_closure(seed)
-                if _rank_dense(closure) < self.dim:
+                if self.ideal_closure([{i: 1} for i in subset]).rank < self.dim:
                     return subset
         return None
 
@@ -207,29 +199,6 @@ class Algebra:
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name or "?", self.dim)
-
-
-def _extends_span(span, dense):
-    rows = [list(r) for r in span] + [list(dense)]
-    return _rank_dense(rows) > _rank_dense([list(r) for r in span])
-
-
-def _rank_dense(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in rows if r[col]), None)
-        if piv is None:
-            continue
-        rows.remove(piv)
-        rank += 1
-        for r in rows:
-            if r[col]:
-                f = r[col] / piv[col]
-                for c in range(ncols):
-                    r[c] -= f * piv[c]
-    return rank
 
 
 class CheckEntry:

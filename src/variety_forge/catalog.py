@@ -215,18 +215,6 @@ def one_op_variety(identity_names_, delta=None, name="") -> Variety:
     return Variety(ONE_OP, idents, delta=delta, name=name or "+".join(identity_names_))
 
 
-def identity_catalog(name: str):
-    """Look up a registered name as an identity first, then as a variety."""
-    try:
-        return identity(name)
-    except CatalogError:
-        pass
-    try:
-        return variety(name)
-    except CatalogError:
-        raise CatalogError("unknown identity or variety %r" % name) from None
-
-
 # ---------------------------------------------------------------------------
 # algebras
 

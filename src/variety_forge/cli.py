@@ -101,7 +101,9 @@ def cmd_consequence(args):
     answer = is_consequence(v, target, n, mode=args.mode)
     space = consequences(v, n, mode=args.mode)
     print("consequence=%s" % ("yes" if answer else "no"))
-    print("certificate_size=%d" % space.rank)
+    print("rank=%d" % space.rank)
+    if args.mode == "sampled":
+        print("probabilistic=yes")
     _emit_timing(args, started)
     return _expect(args, answer)
 
@@ -112,6 +114,8 @@ def cmd_equiv(args):
     v2 = _resolve_variety(args.variety2, args.delta)
     answer = equivalent(v1, v2, args.arity, mode=args.mode)
     print("equivalent=%s" % ("yes" if answer else "no"))
+    if args.mode == "sampled":
+        print("probabilistic=yes")
     _emit_timing(args, started)
     return _expect(args, answer)
 

@@ -16,12 +16,11 @@ fraction-free representation.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from fractions import Fraction
 
-from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
-from .scalar import PONE, RationalFunction, pdeg, pdivexact, pgcd, pmul
+from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
+from .scalar import RationalFunction, pdeg
 from .terms import (ANTISYMMETRIC, NONE, Element, OpSymbol, Permutation,
                     TermError, enumerate_coded, ops_table)
 
@@ -209,31 +208,8 @@ def get_context(ops, n) -> MonomialContext:
 
 def element_to_row(e: Element, ctx: MonomialContext, delta, domain):
     """Write an element as a denominator-free row in ctx's column order."""
-    if delta is not None:
-        fracs = {}
-        for mono, coeff in e.terms.items():
-            fracs[ctx.index[mono]] = coeff.eval_at(delta)
-        lcm = 1
-        for v in fracs.values():
-            g = _gcd(lcm, v.denominator)
-            lcm = lcm * v.denominator // g
-        return {c: int(v * lcm) for c, v in fracs.items() if v}
-    if domain is ZZDomain:
-        fracs = {ctx.index[mono]: coeff.as_fraction() for mono, coeff in e.terms.items()}
-        lcm = 1
-        for v in fracs.values():
-            g = _gcd(lcm, v.denominator)
-            lcm = lcm * v.denominator // g
-        return {c: int(v * lcm) for c, v in fracs.items() if v}
-    lcm = PONE
-    for coeff in e.terms.values():
-        lcm = pdivexact(pmul(lcm, coeff.den), pgcd(lcm, coeff.den))
-    return {ctx.index[mono]: pmul(coeff.num, pdivexact(lcm, coeff.den))
-            for mono, coeff in e.terms.items()}
-
-
-def _gcd(a, b):
-    return math.gcd(a, b)
+    terms = e.terms if delta is None else {m: c.eval_at(delta) for m, c in e.terms.items()}
+    return to_row({ctx.index[m]: c for m, c in terms.items()}, domain)
 
 
 def row_to_element(entries, monomials, arity) -> Element:
@@ -418,15 +394,37 @@ def is_consequence(v: Variety, target: Element, n: int, mode: str = "exact") -> 
 
 
 def equivalent(v1: Variety, v2: Variety, n: int, mode: str = "exact") -> bool:
-    """True iff the two varieties have equal consequence spans at arity n."""
+    """True iff the two varieties have equal consequence spans at arity n.
+
+    In sampled mode with generic d both spans are taken at one shared sample
+    point: of the points that are a pole for neither side, the first with the
+    largest combined rank.
+    """
     if v1.signature() != v2.signature():
         raise EngineError("operation signature mismatch: %s vs %s"
                           % (v1.signature(), v2.signature()))
     if v1.delta != v2.delta:
         raise EngineError("parameter modes differ: %s vs %s" % (v1.delta, v2.delta))
-    s1 = consequences(v1, n, mode)
-    s2 = consequences(v2, n, mode)
+    if mode == "sampled" and v1.delta is None and (v1.uses_delta() or v2.uses_delta()):
+        s1, s2 = _at_shared_sample(v1, v2, n)
+    else:
+        s1 = consequences(v1, n, mode)
+        s2 = consequences(v2, n, mode)
     return s1.basis.canonical_rows() == s2.basis.canonical_rows()
+
+
+def _at_shared_sample(v1: Variety, v2: Variety, n: int):
+    best = None
+    for q in sampled_delta_points(3):  # the points sampled consequences uses
+        try:
+            pair = (consequences(v1.with_delta(q), n), consequences(v2.with_delta(q), n))
+        except ZeroDivisionError:
+            continue  # q is a pole of a coefficient on either side
+        if best is None or pair[0].rank + pair[1].rank > best[0].rank + best[1].rank:
+            best = pair
+    if best is None:
+        raise EngineError("every sampled specialization of d hit a pole")
+    return best
 
 
 # ---------------------------------------------------------------------------

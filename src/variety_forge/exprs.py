@@ -8,9 +8,10 @@ Grammar (whitespace insignificant)::
     var   := 'x' int
     coeff := rational function in d (ints, 'd', + - * / ^, parentheses)
 
-Operation arguments are full expressions and expand bilinearly, so
-``dot(x1+x2, x3)`` is accepted.  Canonical printing emits terms in the
-monomial total order with explicit signs; parse o print is the identity.
+``parse_scalar`` reads a lone coeff with the same grammar.  Operation
+arguments are full expressions and expand bilinearly, so ``dot(x1+x2, x3)``
+is accepted.  Canonical printing emits terms in the monomial total order
+with explicit signs; parse o print is the identity.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class _Parser:
             raise ExprSyntaxError("expected %r, found %r" % (kind, tok[0]), tok[2])
         self.pos += 1
         return tok
+
+    def finish(self):
+        tok = self.take()
+        if tok[0] != "end":
+            raise ExprSyntaxError("trailing input", tok[2])
 
     # -- element expressions --------------------------------------------
 
@@ -161,6 +167,9 @@ class _Parser:
         elif kind == "-":
             self.take()
             return -self.parse_scalar_factor()
+        elif kind == "+":
+            self.take()
+            return self.parse_scalar_factor()
         else:
             raise ExprSyntaxError("expected a scalar", at)
         if self.peek()[0] == "^":
@@ -186,6 +195,14 @@ class _Parser:
         return value
 
 
+def parse_scalar(text: str) -> RationalFunction:
+    """Parse a scalar in Q(d), e.g. ``(3*d^2-1)/(d-1)`` or ``-2/3``."""
+    parser = _Parser(text, {})
+    value = parser.parse_scalar_expr()
+    parser.finish()
+    return value
+
+
 def parse_expr(text: str, ops, allow_multilinearize: bool = False,
                arity: int | None = None) -> Element:
     """Parse an identity expression into a normalized Element.
@@ -197,9 +214,7 @@ def parse_expr(text: str, ops, allow_multilinearize: bool = False,
     table = ops_table(ops)
     parser = _Parser(text, table)
     raw = parser.parse_expr()
-    end = parser.take()
-    if end[0] != "end":
-        raise ExprSyntaxError("trailing input", end[2])
+    parser.finish()
     if not raw:
         return Element(arity if arity is not None else 0)
     try:

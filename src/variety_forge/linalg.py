@@ -6,6 +6,10 @@ generic-d problems.  Elimination is fraction-free (cross-multiplication with
 gcd-reduced multipliers, followed by content reduction), so the reduced rows
 are the field RREF rescaled to a primitive integral form.
 
+``to_row`` is the one conversion from field values (ints, Fractions,
+RationalFunctions) to such a domain row: it clears every denominator.  The
+RowBasis methods take domain rows only, and RowBasis is the one rank.
+
 RowBasis maintains the fully reduced form at all times: pivots are the
 leading (smallest) columns, every stored row vanishes at every other row's
 pivot, and each row is content-free with a positive (leading coefficient of
@@ -29,19 +33,11 @@ from .scalar import (PONE, RationalFunction, pcontent, pdeg, pdivexact,
                      pgcd, pmul, pneg, pnormalize, psub)
 
 
-class LinalgError(ValueError):
-    pass
-
-
 class ZZDomain:
     """Entries are ints; content reduction is a plain gcd."""
 
     name = "Q"
     one = 1
-
-    @staticmethod
-    def is_entry(v):
-        return isinstance(v, int)
 
     @staticmethod
     def canonical_copy(row):
@@ -85,10 +81,6 @@ class ZZDomain:
         return False
 
     @staticmethod
-    def to_field(entry):
-        return Fraction(entry)
-
-    @staticmethod
     def field_div(a, b):
         return Fraction(a, b)
 
@@ -99,10 +91,6 @@ class PolyDomain:
     name = "Q(d)"
     one = PONE
     lazy_degree = 16  # full polynomial content reduction above this degree
-
-    @staticmethod
-    def is_entry(v):
-        return isinstance(v, tuple)
 
     @staticmethod
     def canonical_copy(row):
@@ -170,64 +158,32 @@ class PolyDomain:
         return True
 
     @staticmethod
-    def to_field(entry):
-        return RationalFunction(entry)
-
-    @staticmethod
     def field_div(a, b):
         return RationalFunction(a, b)
 
 
-class SparseVector:
-    """A fixed-length sparse vector with exact scalar entries."""
+def to_row(entries, domain):
+    """A mapping column -> int, Fraction or RationalFunction as a domain row.
 
-    __slots__ = ("length", "entries")
-
-    def __init__(self, length: int, entries=None):
-        self.length = length
-        self.entries = {}
-        if entries:
-            for c, v in (entries.items() if isinstance(entries, dict) else entries):
-                if not (0 <= c < length):
-                    raise LinalgError("index %d out of range" % c)
-                if v:
-                    self.entries[c] = v
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseVector) and self.length == other.length
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return "SparseVector(%d, %r)" % (self.length, self.entries)
-
-
-def _as_row(vec, domain):
-    """Convert a SparseVector / mapping with field entries to a domain row."""
-    items = vec.entries if isinstance(vec, SparseVector) else dict(vec)
-    if not items:
-        return {}
-    if all(domain.is_entry(v) for v in items.values()):
-        row = dict(items)
-        domain.reduce_row(row)
-        return row
+    Every entry is multiplied by the lcm of the denominators, zero entries
+    are dropped and the row is divided by its content as the domain's
+    reduce_row computes it.  Over Z a d-dependent entry raises ValueError.
+    """
     if domain is ZZDomain:
-        fracs = {c: Fraction(v) for c, v in items.items()}
+        fracs = {c: v.as_fraction() if isinstance(v, RationalFunction) else Fraction(v)
+                 for c, v in entries.items() if v}
         lcm = 1
         for v in fracs.values():
             lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
         row = {c: int(v * lcm) for c, v in fracs.items()}
     else:
-        rfs = {c: v if isinstance(v, RationalFunction)
-               else RationalFunction.from_fraction(v) for c, v in items.items()}
+        rfs = {c: v if isinstance(v, RationalFunction) else RationalFunction.from_fraction(v)
+               for c, v in entries.items() if v}
         lcm = PONE
         for v in rfs.values():
             lcm = pdivexact(pmul(lcm, v.den), pgcd(lcm, v.den))
         row = {c: pmul(v.num, pdivexact(lcm, v.den)) for c, v in rfs.items()}
-    domain.reduce_row(row)
-    return {c: v for c, v in row.items() if v}
+    return domain.reduce_row(row)
 
 
 class RowBasis:
@@ -306,15 +262,14 @@ class RowBasis:
             self.domain.reduce_row(r)
         return r
 
-    def reduce(self, vec) -> dict:
-        return self._reduce(_as_row(vec, self.domain))
+    def reduce(self, row) -> dict:
+        return self._reduce(row)
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+    def contains(self, row) -> bool:
+        return not self.reduce(row)
 
-    def insert(self, vec):
-        """Grow the span by vec; True iff vec was outside the previous span."""
-        row = vec if isinstance(vec, dict) else _as_row(vec, self.domain)
+    def insert(self, row):
+        """Grow the span by row; True iff row was outside the previous span."""
         r = self._reduce(row)
         if not r:
             return False
@@ -372,16 +327,11 @@ class RowBasis:
         return tuple(out)
 
     def field_rows(self):
-        """Rows as SparseVectors over the field, pivot entries scaled to 1."""
+        """Rows as dicts over the field, pivot entries scaled to 1."""
         self.finalize()
-        out = []
-        dom = self.domain
-        for p in sorted(self.rows):
-            row = self.rows[p]
-            pivot = row[p]
-            entries = {c: dom.field_div(v, pivot) for c, v in row.items()}
-            out.append(SparseVector(self.ncols, entries))
-        return out
+        div = self.domain.field_div
+        return [{c: div(v, row[p]) for c, v in row.items()}
+                for p, row in sorted(self.rows.items())]
 
     def __eq__(self, other):
         return (isinstance(other, RowBasis) and self.ncols == other.ncols
@@ -410,12 +360,12 @@ def kernel_of_basis(basis: RowBasis) -> RowBasis:
     free = [c for c in range(basis.ncols) if c not in pivot_set]
     out = RowBasis(basis.ncols, dom)
     for f in free:
-        entries = {f: Fraction(1) if dom is ZZDomain else RationalFunction(PONE)}
+        entries = {f: 1}
         for p in pivots:
             row = basis.rows[p]
             if f in row:
                 entries[p] = -dom.field_div(row[f], row[p])
-        out.insert(SparseVector(basis.ncols, entries))
+        out.insert(to_row(entries, dom))
     return out
 
 

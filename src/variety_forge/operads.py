@@ -123,8 +123,8 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
             out[j] = v if s == 1 else neg(v)
         m_rows.append(out)
     kernel = nullspace(m_rows, len(dual_ctx.monomials), domain)
-    relations = tuple(row_to_element(vec.entries, dual_ctx.monomials, 3)
-                      for vec in kernel.field_rows())
+    relations = tuple(row_to_element(row, dual_ctx.monomials, 3)
+                      for row in kernel.field_rows())
     return QuadraticPresentation(dual_ops, relations, delta=p.delta,
                                  name=(p.name + "!") if p.name else "dual")
 

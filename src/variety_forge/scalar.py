@@ -391,112 +391,3 @@ def _coerce(v):
 RF_ZERO = RationalFunction(PZERO, PONE, _canonical=True)
 RF_ONE = RationalFunction(PONE, PONE, _canonical=True)
 DELTA = RationalFunction.delta()
-
-
-def field_arith(a: RationalFunction, b: RationalFunction, operator: str) -> RationalFunction:
-    """Exact field operation in Q(d): one of add | sub | mul | div."""
-    if operator == "add":
-        return a + b
-    if operator == "sub":
-        return a - b
-    if operator == "mul":
-        return a * b
-    if operator == "div":
-        return a / b
-    raise ValueError("unknown operator %r" % operator)
-
-
-def eval_at(a: RationalFunction, q) -> Fraction:
-    return a.eval_at(q)
-
-
-def is_zero(a: RationalFunction) -> bool:
-    return a.is_zero()
-
-
-# ---------------------------------------------------------------------------
-# parsing: integer-coefficient arithmetic over d, with / allowed anywhere
-
-def parse_scalar(text: str) -> RationalFunction:
-    """Parse the canonical textual form, e.g. ``(3*d^2-1)/(d-1)`` or ``-2/3``."""
-    tokens = _tokenize_scalar(text)
-    value, pos = _parse_scalar_expr(tokens, 0)
-    if pos != len(tokens):
-        raise ScalarSyntaxError("trailing input at token %d in %r" % (pos, text))
-    return value
-
-
-class ScalarSyntaxError(ValueError):
-    pass
-
-
-def _tokenize_scalar(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch == "d":
-            tokens.append(("d", None))
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append((ch, None))
-            i += 1
-        else:
-            raise ScalarSyntaxError("unexpected character %r at position %d" % (ch, i))
-    return tokens
-
-
-def _parse_scalar_expr(tokens, pos):
-    value, pos = _parse_scalar_term(tokens, pos)
-    while pos < len(tokens) and tokens[pos][0] in "+-":
-        op = tokens[pos][0]
-        rhs, pos = _parse_scalar_term(tokens, pos + 1)
-        value = value + rhs if op == "+" else value - rhs
-    return value, pos
-
-
-def _parse_scalar_term(tokens, pos):
-    value, pos = _parse_scalar_factor(tokens, pos)
-    while pos < len(tokens) and tokens[pos][0] in "*/":
-        op = tokens[pos][0]
-        rhs, pos = _parse_scalar_factor(tokens, pos + 1)
-        value = value * rhs if op == "*" else value / rhs
-    return value, pos
-
-
-def _parse_scalar_factor(tokens, pos):
-    if pos >= len(tokens):
-        raise ScalarSyntaxError("unexpected end of scalar expression")
-    kind, payload = tokens[pos]
-    if kind == "-":
-        value, pos = _parse_scalar_factor(tokens, pos + 1)
-        return -value, pos
-    if kind == "+":
-        return _parse_scalar_factor(tokens, pos + 1)
-    if kind == "int":
-        value = RationalFunction(pconst(payload))
-        pos += 1
-    elif kind == "d":
-        value = DELTA
-        pos += 1
-    elif kind == "(":
-        value, pos = _parse_scalar_expr(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos][0] != ")":
-            raise ScalarSyntaxError("missing closing parenthesis")
-        pos += 1
-    else:
-        raise ScalarSyntaxError("unexpected token %r" % kind)
-    if pos < len(tokens) and tokens[pos][0] == "^":
-        if pos + 1 >= len(tokens) or tokens[pos + 1][0] != "int":
-            raise ScalarSyntaxError("exponent must be an integer")
-        value = value ** tokens[pos + 1][1]
-        pos += 2
-    return value, pos

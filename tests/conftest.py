@@ -28,6 +28,27 @@ OP_SETS = {
 }
 
 
+def dense_rref(rows, ncols, to_field=Fraction):
+    """Independent dense Gauss-Jordan elimination; returns the nonzero RREF rows."""
+    mat = [[to_field(r[c]) if c in r else to_field(0) for c in range(ncols)]
+           for r in rows]
+    done = []
+    for col in range(ncols):
+        piv = next((r for r in mat if r[col]), None)
+        if piv is None:
+            continue
+        mat.remove(piv)
+        lead = piv[col]
+        piv = [v / lead for v in piv]
+        for r in mat + done:
+            if r[col]:
+                f = r[col]
+                for c in range(ncols):
+                    r[c] -= f * piv[c]
+        done.append(piv)
+    return [{c: v for c, v in enumerate(r) if v} for r in done]
+
+
 def random_rational(rng, span=6):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 

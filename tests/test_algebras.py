@@ -1,5 +1,6 @@
 """Structure-constant algebras: loading, evaluation, witnesses, constructions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from variety_forge.algebras import (Algebra, AlgebraError, format_algebra,
                                     merge_polarization, parse_algebra_text,
                                     split_polarization, tensor)
-from variety_forge.catalog import algebra, identity, variety
+from variety_forge.catalog import algebra, algebra_names, identity, variety
 from variety_forge.terms import BRACKET, DOT
 
-from conftest import seeded
+from conftest import dense_rref, seeded
 
 F = Fraction
 
@@ -198,6 +199,35 @@ def test_simplicity_check_on_the_classified_pair():
         assert perfect and no_proper_ideal
     assert algebra("zero").proper_ideal_from_basis_subsets() == (0,)
     assert algebra("dmix-B1").proper_ideal_from_basis_subsets() is not None
+
+
+def _dense_ideal(a, subset):
+    """RREF of the ideal generated by basis vectors, by dense Gauss-Jordan."""
+    span = dense_rref([{i: F(1)} for i in subset], a.dim)
+    while True:
+        products = [p for op in a.tables for x in span for i in range(a.dim)
+                    for p in (a.apply(op, x, {i: F(1)}), a.apply(op, {i: F(1)}, x))]
+        grown = dense_rref(span + products, a.dim)
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+def test_ranks_match_dense_reference_on_every_catalog_algebra():
+    for name in algebra_names():
+        a = algebra(name)
+        brackets = list(a.tables.get("bracket", {}).values())
+        assert a.bracket_is_perfect() == (len(dense_rref(brackets, a.dim)) == a.dim), name
+        first_proper = None
+        for size in range(1, a.dim):
+            for subset in itertools.combinations(range(a.dim), size):
+                ref = _dense_ideal(a, subset)
+                closure = a.ideal_closure([{i: 1} for i in subset])
+                assert closure.rank == len(ref), (name, subset)
+                assert closure.field_rows() == ref, (name, subset)
+                if first_proper is None and len(ref) < a.dim:
+                    first_proper = subset
+        assert a.proper_ideal_from_basis_subsets() == first_proper, name
 
 
 def test_multilinearity_shortcut_on_random_vectors():

@@ -28,7 +28,8 @@ def test_consequence_command_and_expect(capsys):
     code, out, _ = run(capsys, "consequence", "delta-poisson",
                        "--target", "bracket(dot(x1,x2),dot(x3,x4))",
                        "--no-timing", "--expect", "yes")
-    assert code == 0 and "consequence=yes" in out and "certificate_size=" in out
+    assert code == 0 and "consequence=yes" in out and "rank=" in out
+    assert "probabilistic" not in out
     code, out, _ = run(capsys, "consequence", "delta-poisson",
                        "--target", "xyzt-1", "--delta", "1",
                        "--no-timing", "--expect", "yes")
@@ -135,6 +136,13 @@ def test_sampled_mode(capsys):
                        "--mode", "sampled", "--no-timing")
     assert code == 0
     assert "dim=12" in out and "certified=upper-bound" in out
+    code, out, _ = run(capsys, "consequence", "delta-poisson",
+                       "--target", "bracket(dot(x1,x2),dot(x3,x4))",
+                       "--mode", "sampled", "--no-timing")
+    assert code == 0 and "consequence=yes" in out and "probabilistic=yes" in out
+    code, out, _ = run(capsys, "equiv", "delta-poisson", "delta-poisson",
+                       "--arity", "3", "--mode", "sampled", "--no-timing")
+    assert code == 0 and out == "equivalent=yes\nprobabilistic=yes\n"
 
 
 def test_exit_codes(capsys, monkeypatch):

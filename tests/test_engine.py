@@ -14,6 +14,8 @@ from variety_forge.engine import (ArityOverflowError, EngineError,
                                   dim_multilinear, equivalent, format_variety,
                                   get_context, is_consequence,
                                   parse_variety_text, row_to_element)
+from variety_forge.linalg import sampled_delta_points
+from variety_forge.scalar import DELTA
 from variety_forge.terms import (Permutation, act, act_monomial, normalize_tree,
                                  substitute_tree)
 
@@ -71,15 +73,16 @@ def test_scalar_poisson_identities_independent():
 
 
 def test_identity_catalog_lookup():
-    from variety_forge.catalog import CatalogError, identity_catalog
+    from variety_forge.catalog import CatalogError
     from variety_forge.engine import Variety as V
     from variety_forge.terms import Element
-    assert isinstance(identity_catalog("f-delta"), Element)
-    assert isinstance(identity_catalog("delta-poisson"), V)
-    assert isinstance(identity_catalog("transposed-delta-poisson"), V)
-    assert isinstance(identity_catalog("mixed-poisson"), V)
-    with pytest.raises(CatalogError):
-        identity_catalog("no-such-name")
+    assert isinstance(identity("f-delta"), Element)
+    assert isinstance(variety("delta-poisson"), V)
+    assert isinstance(variety("transposed-delta-poisson"), V)
+    assert isinstance(variety("mixed-poisson"), V)
+    for lookup in (identity, variety):
+        with pytest.raises(CatalogError):
+            lookup("no-such-name")
 
 
 def test_equivalence_requires_same_signature():
@@ -103,6 +106,22 @@ def test_sampled_mode_matches_exact_here():
     assert len(space.samples) >= 1
     # sampled rank never exceeds the generic rank
     assert space.rank <= consequences(dp, 4).rank
+
+
+def test_sampled_equivalence_shares_one_point():
+    # scaling the third identity by 1/(13d-51) keeps the span; the first
+    # sample point d=51/13 is a pole of the scaled copy only
+    dp = variety("delta-poisson")
+    ids = list(dp.identities)
+    ids[2] = ids[2].scale(1 / (13 * DELTA - 51))
+    scaled = Variety(dp.ops, ids, name="scaled")
+    assert sampled_delta_points(3)[0] == F(51, 13)
+    for n in (3, 4):
+        assert equivalent(dp, scaled, n)
+        assert equivalent(dp, scaled, n, mode="sampled")
+        assert equivalent(scaled, dp, n, mode="sampled")
+    assert not equivalent(dp, variety("two-ops-free"), 4, mode="sampled")
+    assert not equivalent(dp, variety("transposed-delta-poisson"), 4, mode="sampled")
 
 
 def test_arity_guard(monkeypatch):

@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from variety_forge.linalg import (PolyDomain, RowBasis, SparseVector, ZZDomain,
-                                  nullspace, rank, sampled_delta_points)
+from variety_forge.linalg import (PolyDomain, RowBasis, ZZDomain, nullspace, rank,
+                                  sampled_delta_points, to_row)
 from variety_forge.scalar import DELTA, RationalFunction, padd, pnormalize, pscale
 
-from conftest import seeded
+from conftest import dense_rref, seeded
 
 F = Fraction
 d = DELTA
@@ -30,34 +31,29 @@ MP_MIXED = [
 ]
 
 
-def _dense_rref(rows, ncols, to_field=F):
-    """Independent dense Gauss-Jordan elimination; returns the nonzero RREF rows."""
-    mat = [[to_field(r[c]) if c in r else to_field(0) for c in range(ncols)]
-           for r in rows]
-    done = []
-    for col in range(ncols):
-        piv = next((r for r in mat if r[col]), None)
-        if piv is None:
-            continue
-        mat.remove(piv)
-        lead = piv[col]
-        piv = [v / lead for v in piv]
-        for r in mat + done:
-            if r[col]:
-                f = r[col]
-                for c in range(ncols):
-                    r[c] -= f * piv[c]
-        done.append(piv)
-    return [{c: v for c, v in enumerate(r) if v} for r in done]
+def test_to_row_clears_denominators():
+    assert to_row({0: 2, 1: 0, 3: -4}, ZZDomain) == {0: 1, 3: -2}
+    assert to_row({0: F(1, 2), 1: F(-1, 3), 2: F(0)}, ZZDomain) == {0: 3, 1: -2}
+    assert to_row({0: RationalFunction(2), 1: F(4, 3)}, ZZDomain) == {0: 3, 1: 2}
+    assert to_row({}, ZZDomain) == {}
+    # over Z[d]: 1/(d-1) and d/2 share the denominator 2(d-1)
+    row = to_row({0: 1 / (d - 1), 1: d / 2, 2: d - d}, PolyDomain)
+    assert row == {0: (2,), 1: (0, -1, 1)}
+    assert to_row({0: F(2), 1: 2 * d + 4}, PolyDomain) == {0: (1,), 1: (2, 1)}
+
+
+def test_to_row_rejects_d_over_z():
+    with pytest.raises(ValueError):
+        to_row({0: F(1), 1: d}, ZZDomain)
 
 
 def test_insert_examples():
     basis = RowBasis(4)
-    assert basis.insert(SparseVector(4, {0: F(1), 2: F(2)}))
+    assert basis.insert(to_row({0: F(1), 2: F(2)}, ZZDomain))
     assert basis.rank == 1
-    assert not basis.insert(SparseVector(4, {0: F(2), 2: F(4)}))
+    assert not basis.insert(to_row({0: F(2), 2: F(4)}, ZZDomain))
     assert basis.rank == 1
-    assert basis.insert(SparseVector(4, {1: F(1)}))
+    assert basis.insert(to_row({1: F(1)}, ZZDomain))
     assert basis.rank == 2
 
 
@@ -141,14 +137,14 @@ def _fill_and_cancel_rows(rng, ncols, poly):
 def _check_against_reference(rng, ncols, poly):
     domain, to_field = (PolyDomain, RationalFunction) if poly else (ZZDomain, F)
     rows = _fill_and_cancel_rows(rng, ncols, poly)
-    ref = _dense_rref(rows, ncols, to_field)
+    ref = dense_rref(rows, ncols, to_field)
     canonical = []
     for _ in range(3):  # the generated order, then two shuffles
         basis = RowBasis(ncols, domain)
         for r in rows:
             basis.insert(r)
         assert basis.rank == len(ref)
-        assert [vec.entries for vec in basis.field_rows()] == ref
+        assert basis.field_rows() == ref
         canonical.append(basis.canonical_rows())
         rng.shuffle(rows)
     assert canonical[0] == canonical[1] == canonical[2]
@@ -171,7 +167,7 @@ def test_reference_matrix_ranks():
     # the six-row matrix has full mixed rank (a hand reduction gives e1, e2,
     # e3 from the row sums and an invertible 3x3 block on the rest)
     assert rank(MP_MIXED, 6) == 6
-    assert len(_dense_rref(MP_MIXED, 6)) == 6
+    assert len(dense_rref(MP_MIXED, 6)) == 6
     assert rank([], 3) == 0
     assert rank([{0: 1}, {1: 1}, {2: 1}], 3) == 3
 
@@ -181,7 +177,7 @@ def test_nullspace_examples():
     ns = nullspace([{0: 1, 1: 1}], 2)
     assert ns.rank == 1
     (vec,) = ns.field_rows()
-    assert vec.entries[0] / vec.entries[1] == -1
+    assert vec[0] / vec[1] == -1
     # the generic mixed block has a 3-dimensional kernel
     assert nullspace(DP_MIXED, 6, PolyDomain).rank == 3
 
@@ -233,12 +229,12 @@ def test_rank_nullity_over_q(seed):
     ncols = rng.randint(2, 8)
     rows = _random_sparse_rows(rng, rng.randint(1, 6), ncols, poly=False)
     rk = rank(rows, ncols)
-    assert rk == len(_dense_rref(rows, ncols))
+    assert rk == len(dense_rref(rows, ncols))
     assert rk + nullspace(rows, ncols).rank == ncols
     # kernel vectors annihilate every row
     for vec in nullspace(rows, ncols).field_rows():
         for r in rows:
-            assert sum(F(v) * vec.entries.get(c, F(0)) for c, v in r.items()) == 0
+            assert sum(F(v) * vec.get(c, F(0)) for c, v in r.items()) == 0
 
 
 @given(st.integers(0, 10 ** 6))

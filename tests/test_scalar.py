@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from variety_forge.exprs import parse_scalar
 from variety_forge.scalar import (DELTA, DegreeOverflowError, PoleError,
-                                  RationalFunction, field_arith, parse_scalar,
-                                  pgcd, pdivexact, pmul, set_degree_limit)
+                                  RationalFunction, pgcd, pdivexact, pmul,
+                                  set_degree_limit)
 
 from conftest import random_rational_function, seeded
 
@@ -15,17 +16,17 @@ d = DELTA
 
 
 def test_field_arith_examples():
-    assert field_arith(d, d, "sub").is_zero()
-    assert field_arith(d * d - 1, d - 1, "div") == d + 1
+    assert (d - d).is_zero()
+    assert (d * d - 1) / (d - 1) == d + 1
     # hand multiplication: 1/(1-d) * d = d/(1-d) = (-d)/(d-1) in canonical form
-    got = field_arith(1 / (1 - d), d, "mul")
+    got = (1 / (1 - d)) * d
     assert got == RationalFunction((0, 1), (1, -1))
     assert str(got) == "(-d)/(d-1)"
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        field_arith(d, d - d, "div")
+        d / (d - d)
 
 
 def test_eval_at_examples():
@@ -61,6 +62,15 @@ def test_parse_print_roundtrip():
                  "1/(3*d)", "(d+1)/(d^2+d+1)"]:
         v = parse_scalar(text)
         assert parse_scalar(str(v)) == v
+
+
+def test_parse_scalar_grammar():
+    assert parse_scalar("+d") == d
+    assert parse_scalar("-d^2 + +3") == 3 - d * d
+    assert parse_scalar(" 2 * (d - 1) / 4 ") == (d - 1) / 2
+    for bad in ["", "d d", "2d", "(d", "d)", "d^-1", "d^d", "x1", "3 +"]:
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
 
 
 def test_pow_and_coercion():
