@@ -139,10 +139,6 @@ _IDENTITY_SOURCES = {
 _IDENTITY_CACHE = {}
 
 
-def identity_names():
-    return sorted(_IDENTITY_SOURCES)
-
-
 def identity(name: str) -> Element:
     """The named identity as a normalized Element (coefficients in Q(d))."""
     try:
@@ -397,8 +393,3 @@ def presentation(name: str):
         return QuadraticPresentation(TWO_OPS, (identity("assoc"), identity("jacobi")),
                                      name="com-lie")
     raise CatalogError("unknown presentation %r" % name)
-
-
-def presentation_names():
-    return ["anti-poisson", "com", "com-lie", "delta-poisson", "lie", "mixed-poisson",
-            "poisson", "transposed-delta-poisson"]

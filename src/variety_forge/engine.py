@@ -20,7 +20,7 @@ import os
 from fractions import Fraction
 
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
-from .scalar import RationalFunction, pdeg
+from .scalar import RationalFunction, pdeg, peval
 from .terms import (ANTISYMMETRIC, NONE, Element, OpSymbol, Permutation,
                     TermError, enumerate_coded, ops_table)
 
@@ -240,18 +240,14 @@ def apply_index_map(row, table, neg):
 class ConsequenceSpace:
     """The multilinear degree-n component of a variety's ideal of consequences."""
 
-    def __init__(self, variety, n, monomials, basis, mode="exact", samples=None):
+    def __init__(self, variety, n, monomials, basis):
         self.variety = variety
         self.n = n
         self.monomials = monomials
         self.basis = basis
-        self.mode = mode
-        self.samples = samples or []
 
     @property
     def rank(self):
-        if self.mode == "sampled":
-            return max((r for _, r in self.samples), default=0)
         return self.basis.rank
 
     @property
@@ -259,8 +255,8 @@ class ConsequenceSpace:
         return len(self.monomials) - self.rank
 
     def __repr__(self):
-        return "ConsequenceSpace(n=%d, rank=%d of %d, mode=%s)" % (
-            self.n, self.rank, len(self.monomials), self.mode)
+        return "ConsequenceSpace(n=%d, rank=%d of %d, delta=%s)" % (
+            self.n, self.rank, len(self.monomials), self.variety.delta)
 
 
 _SPACE_CACHE = {}
@@ -272,7 +268,16 @@ def clear_cache():
 
 
 def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
-    """Row span of the degree-n multilinear component of v's T-ideal."""
+    """Row span of the degree-n multilinear component of v's T-ideal.
+
+    A sampled space of a variety with generic d is the exact space of v at
+    one sample point of d, so its ``variety.delta`` is that point; see
+    ``_sampled_spaces``.
+    """
+    if mode == "sampled":
+        return _sampled_spaces((v,), n)[0]
+    if mode != "exact":
+        raise EngineError("unknown mode %r" % mode)
     if n < 1:
         raise EngineError("arity must be positive")
     guard = max_arity()
@@ -280,49 +285,39 @@ def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
         raise ArityOverflowError(
             "arity %d exceeds the configured guard %d "
             "(set VARIETY_FORGE_MAX_ARITY to override)" % (n, guard))
-    key = (v.cache_key(), n, mode)
-    hit = _SPACE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if mode == "exact":
-        space = _consequences_exact(v, n)
-    elif mode == "sampled":
-        space = _consequences_sampled(v, n)
-    else:
-        raise EngineError("unknown mode %r" % mode)
-    _SPACE_CACHE[key] = space
+    key = (v.cache_key(), n)
+    space = _SPACE_CACHE.get(key)
+    if space is None:
+        domain = PolyDomain if (v.delta is None and v.uses_delta()) else ZZDomain
+        basis = _build_basis(v, n, v.delta, domain)
+        space = _SPACE_CACHE[key] = ConsequenceSpace(
+            v, n, get_context(v.ops, n).monomials, basis)
     return space
 
 
-def _consequences_exact(v: Variety, n: int) -> ConsequenceSpace:
-    domain = PolyDomain if (v.delta is None and v.uses_delta()) else ZZDomain
-    basis = _build_basis(v, n, v.delta, domain)
-    ctx = get_context(v.ops, n)
-    return ConsequenceSpace(v, n, ctx.monomials, basis)
+def _sampled_spaces(varieties, n):
+    """Exact spaces of the varieties, all taken at one shared sample point of d.
 
-
-def _consequences_sampled(v: Variety, n: int, k: int = 3) -> ConsequenceSpace:
-    if v.delta is not None or not v.uses_delta():
-        # nothing to sample; run the exact specialization
-        domain = ZZDomain
-        basis = _build_basis(v, n, v.delta, domain)
-        ctx = get_context(v.ops, n)
-        return ConsequenceSpace(v, n, ctx.monomials, basis,
-                                mode="sampled", samples=[(v.delta, basis.rank)])
-    samples = []
+    Of the points that are a pole for none of the varieties, the first with
+    the largest combined rank; a generic rank is missed only where d hits a
+    root of some minor (Schwartz-Zippel).  Varieties without a generic d are
+    returned as their exact spaces.
+    """
+    generic = [v.delta is None and v.uses_delta() for v in varieties]
+    if not any(generic):
+        return tuple(consequences(v, n) for v in varieties)
     best = None
-    ctx = get_context(v.ops, n)
-    for q in sampled_delta_points(k):
+    for q in sampled_delta_points(3):
         try:
-            basis = _build_basis(v, n, q, ZZDomain)
+            spaces = tuple(consequences(v.with_delta(q) if g else v, n)
+                           for v, g in zip(varieties, generic))
         except ZeroDivisionError:
-            continue
-        samples.append((q, basis.rank))
-        if best is None or basis.rank > best.rank:
-            best = basis
+            continue  # q is a pole of a coefficient of some variety
+        if best is None or sum(s.rank for s in spaces) > sum(s.rank for s in best):
+            best = spaces
     if best is None:
         raise EngineError("every sampled specialization of d hit a pole")
-    return ConsequenceSpace(v, n, ctx.monomials, best, mode="sampled", samples=samples)
+    return best
 
 
 def _build_basis(v: Variety, n: int, delta, domain) -> RowBasis:
@@ -367,19 +362,25 @@ def dim_multilinear(v: Variety, n: int, mode: str = "exact") -> int:
 
 
 def is_consequence(v: Variety, target: Element, n: int, mode: str = "exact") -> bool:
-    """True iff target lies in the span of consequences(v, n)."""
+    """True iff target lies in the span of consequences(v, n, mode).
+
+    The target is specialised at the space's own d, which in sampled mode is
+    the sample point.
+    """
     if target.arity != n:
         raise EngineError("target arity %d does not match n=%d" % (target.arity, n))
     if target.is_zero():
         return True
     space = consequences(v, n, mode)
-    basis = space.basis
+    basis, delta = space.basis, space.variety.delta
     ctx = get_context(v.ops, n)
-    if basis.domain is PolyDomain:
-        row = element_to_row(target, ctx, v.delta, PolyDomain)
-        return basis.contains(row)
+    if delta != v.delta:
+        # a sample point: the target's primitive row over Z[d] spans the same
+        # line over Q(d), and has neither a pole nor a common root there
+        prim = PolyDomain.reduce_row_full(element_to_row(target, ctx, None, PolyDomain))
+        return basis.contains(to_row({c: peval(p, delta) for c, p in prim.items()}, ZZDomain))
     try:
-        row = element_to_row(target, ctx, v.delta, ZZDomain)
+        row = element_to_row(target, ctx, delta, basis.domain)
     except ValueError:
         # d-dependent target against a d-free span: membership holds iff each
         # d-power component lies in the span separately
@@ -396,35 +397,19 @@ def is_consequence(v: Variety, target: Element, n: int, mode: str = "exact") -> 
 def equivalent(v1: Variety, v2: Variety, n: int, mode: str = "exact") -> bool:
     """True iff the two varieties have equal consequence spans at arity n.
 
-    In sampled mode with generic d both spans are taken at one shared sample
-    point: of the points that are a pole for neither side, the first with the
-    largest combined rank.
+    In sampled mode both spans are the exact spans at one shared sample point
+    of d (see ``_sampled_spaces``).
     """
     if v1.signature() != v2.signature():
         raise EngineError("operation signature mismatch: %s vs %s"
                           % (v1.signature(), v2.signature()))
     if v1.delta != v2.delta:
         raise EngineError("parameter modes differ: %s vs %s" % (v1.delta, v2.delta))
-    if mode == "sampled" and v1.delta is None and (v1.uses_delta() or v2.uses_delta()):
-        s1, s2 = _at_shared_sample(v1, v2, n)
+    if mode == "sampled":
+        s1, s2 = _sampled_spaces((v1, v2), n)
     else:
-        s1 = consequences(v1, n, mode)
-        s2 = consequences(v2, n, mode)
+        s1, s2 = consequences(v1, n, mode), consequences(v2, n, mode)
     return s1.basis.canonical_rows() == s2.basis.canonical_rows()
-
-
-def _at_shared_sample(v1: Variety, v2: Variety, n: int):
-    best = None
-    for q in sampled_delta_points(3):  # the points sampled consequences uses
-        try:
-            pair = (consequences(v1.with_delta(q), n), consequences(v2.with_delta(q), n))
-        except ZeroDivisionError:
-            continue  # q is a pole of a coefficient on either side
-        if best is None or pair[0].rank + pair[1].rank > best[0].rank + best[1].rank:
-            best = pair
-    if best is None:
-        raise EngineError("every sampled specialization of d hit a pole")
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,6 @@ def set_degree_limit(limit: int) -> int:
     return old
 
 
-def degree_limit() -> int:
-    return _DEGREE_LIMIT
-
-
 # ---------------------------------------------------------------------------
 # integer polynomial helpers
 
@@ -246,9 +242,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_one(self) -> bool:
-        return self.num == PONE and self.den == PONE
 
     def is_constant(self) -> bool:
         return pdeg(self.num) <= 0 and self.den == PONE

@@ -136,10 +136,13 @@ def test_sampled_mode(capsys):
                        "--mode", "sampled", "--no-timing")
     assert code == 0
     assert "dim=12" in out and "certified=upper-bound" in out
-    code, out, _ = run(capsys, "consequence", "delta-poisson",
-                       "--target", "bracket(dot(x1,x2),dot(x3,x4))",
-                       "--mode", "sampled", "--no-timing")
-    assert code == 0 and "consequence=yes" in out and "probabilistic=yes" in out
+    for target in ("bracket(dot(x1,x2),dot(x3,x4))",
+                   # the third defining identity: its coefficients depend on d
+                   "bracket(dot(x1,x2),x3) - d*dot(bracket(x1,x3),x2) "
+                   "- d*dot(bracket(x2,x3),x1)"):
+        code, out, _ = run(capsys, "consequence", "delta-poisson", "--target", target,
+                           "--mode", "sampled", "--expect", "yes", "--no-timing")
+        assert code == 0 and "consequence=yes" in out and "probabilistic=yes" in out
     code, out, _ = run(capsys, "equiv", "delta-poisson", "delta-poisson",
                        "--arity", "3", "--mode", "sampled", "--no-timing")
     assert code == 0 and out == "equivalent=yes\nprobabilistic=yes\n"
