@@ -3,9 +3,16 @@
 An algebra stores, per operation, a sparse table c[i][j] -> {k: coefficient}
 meaning op(e_i, e_j) = sum_k c e_k, with indices 0-based internally and
 printed 1-based.  Declared products are completed by the operation's symmetry;
-everything undeclared is zero.  Multilinear identities hold on the algebra iff
-they vanish on all basis tuples, which is what eval_identity checks, returning
-the first failing tuple as a witness.
+everything undeclared is zero.
+
+A multilinear identity holds on the algebra iff it vanishes on every tuple of
+basis vectors.  eval_identity does not walk the dim ** arity tuples one by
+one: it evaluates each monomial bottom-up over its tree on all basis tuples
+at once, joining the two children of a node only where the operation has a
+nonzero structure constant, so it stores and touches nonzero products only.
+The witness of a failing identity is the lexicographically smallest failing
+tuple, the same one a walk in itertools.product order would stop at, with the
+same exact value.
 """
 
 from __future__ import annotations
@@ -78,15 +85,8 @@ class Algebra:
         for i, a in u.items():
             for j, b in v.items():
                 comps = table.get((i, j))
-                if not comps:
-                    continue
-                ab = a * b
-                for k, c in comps.items():
-                    val = out.get(k, _F(0)) + ab * c
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
+                if comps:
+                    _add_scaled(out, comps, a * b)
         return out
 
     def _eval_tree(self, tree, assignment):
@@ -100,13 +100,7 @@ class Algebra:
         coeffs = self._coefficients(e, delta)
         out = {}
         for mono, c in zip(e.terms.keys(), coeffs):
-            val = self._eval_tree(mono.tree, assignment)
-            for k, v in val.items():
-                acc = out.get(k, _F(0)) + c * v
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+            _add_scaled(out, self._eval_tree(mono.tree, assignment), c)
         return out
 
     def _coefficients(self, e: Element, delta):
@@ -124,25 +118,62 @@ class Algebra:
         return out
 
     def eval_identity(self, e: Element, delta=None, label=""):
-        """CheckEntry for one identity: vanishing on all basis tuples."""
+        """CheckEntry for one identity: vanishing on all basis tuples.
+
+        Each monomial's values on all basis tuples (``_basis_values``) are
+        scaled by its coefficient and summed into one dict keyed by the tuple
+        in variable order; the work follows the nonzero structure constants,
+        not dim ** arity.  The witness is the smallest failing tuple, the one
+        a lexicographic walk over all basis tuples would meet first.
+        """
         missing = e.op_names() - set(self.tables)
         if missing:
             raise AlgebraError("algebra lacks operations %s" % sorted(missing))
         coeffs = self._coefficients(e, delta)
-        monos = list(e.terms.keys())
-        for tup in itertools.product(range(self.dim), repeat=e.arity):
-            assignment = {i + 1: {tup[i]: _F(1)} for i in range(e.arity)}
-            out = {}
-            for mono, c in zip(monos, coeffs):
-                for k, v in self._eval_tree(mono.tree, assignment).items():
-                    acc = out.get(k, _F(0)) + c * v
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
-            if out:
-                return CheckEntry(label or str(e), False, tup, out)
+        by_left = {}
+        for op_name, table in self.tables.items():
+            rows = by_left[op_name] = {}
+            for (i, j), comps in table.items():
+                rows.setdefault(i, {})[j] = comps
+        total = {}
+        for mono, c in zip(e.terms.keys(), coeffs):
+            if not c:
+                continue
+            # leaf order -> variable order: the tree's leaves are a
+            # permutation of 1..arity
+            order = sorted(range(e.arity), key=mono.leaves().__getitem__)
+            for key, vec in self._basis_values(mono.tree, by_left).items():
+                acc = total.setdefault(tuple(key[p] for p in order), {})
+                _add_scaled(acc, vec, c)
+        failing = [tup for tup, vec in total.items() if vec]
+        if failing:
+            witness = min(failing)
+            return CheckEntry(label or str(e), False, witness, total[witness])
         return CheckEntry(label or str(e), True)
+
+    def _basis_values(self, tree, by_left):
+        """Nonzero values of a tree on basis vectors, keyed by the tuple of
+        basis indices at its leaves in left-to-right order.
+
+        by_left[op][i][j] is the op's product e_i * e_j.  A node joins its two
+        children only on component pairs (i, j) with a nonzero product.
+        """
+        if isinstance(tree, int):
+            return {(i,): {i: _F(1)} for i in range(self.dim)}
+        rows = by_left[tree[0]]
+        left = self._basis_values(tree[1], by_left)
+        right_by_comp = {}
+        for key, vec in self._basis_values(tree[2], by_left).items():
+            for j, b in vec.items():
+                right_by_comp.setdefault(j, []).append((key, b))
+        out = {}
+        for lkey, lvec in left.items():
+            for i, a in lvec.items():
+                for j, comps in rows.get(i, {}).items():
+                    for rkey, b in right_by_comp.get(j, ()):
+                        acc = out.setdefault(lkey + rkey, {})
+                        _add_scaled(acc, comps, a * b)
+        return {key: vec for key, vec in out.items() if vec}
 
     def check_variety(self, v, delta=None):
         """CheckReport over all identities of the variety."""
@@ -290,14 +321,19 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(a.dim * b.dim, (DOT, BRACKET), products, params=params, name=name)
 
 
+def _add_scaled(acc, vec, c):
+    """acc += c * vec on sparse vectors, dropping entries that cancel."""
+    for k, v in vec.items():
+        new = acc.get(k, 0) + c * v
+        if new:
+            acc[k] = new
+        else:
+            acc.pop(k, None)
+
+
 def _merge(target, key, comps):
     cur = target.setdefault(key, {})
-    for k, c in comps.items():
-        new = cur.get(k, _F(0)) + c
-        if new:
-            cur[k] = new
-        else:
-            cur.pop(k, None)
+    _add_scaled(cur, comps, 1)
     if not cur:
         target.pop(key, None)
 

@@ -342,6 +342,9 @@ def main(argv=None) -> int:
     except DegreeOverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory; try a smaller arity or order", file=sys.stderr)
+        return EXIT_RESOURCE
     except (_InputError, EngineError, AlgebraError, OperadError, TermError,
             catalog.CatalogError, ValueError, ZeroDivisionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

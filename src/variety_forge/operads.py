@@ -357,6 +357,8 @@ def presentation_of_variety(v: Variety) -> QuadraticPresentation:
 
 def koszulness_witness(v: Variety, order: int, mode: str = "exact") -> KoszulVerdict:
     """Compare H(H!(t)) with t using engine-computed dimensions on both sides."""
+    if order < 1:
+        raise OperadError("order must be positive")
     p = presentation_of_variety(v)
     dual = koszul_dual(p)
     dims = [dim_multilinear(v, n, mode) for n in range(1, order + 1)]

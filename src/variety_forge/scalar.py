@@ -244,7 +244,7 @@ class RationalFunction:
         return not self.num
 
     def is_constant(self) -> bool:
-        return pdeg(self.num) <= 0 and self.den == PONE
+        return pdeg(self.num) <= 0 and pdeg(self.den) == 0
 
     def as_fraction(self) -> Fraction:
         if pdeg(self.num) > 0 or pdeg(self.den) > 0:

@@ -8,10 +8,12 @@ import pytest
 from variety_forge.algebras import (Algebra, AlgebraError, format_algebra,
                                     merge_polarization, parse_algebra_text,
                                     split_polarization, tensor)
-from variety_forge.catalog import algebra, algebra_names, identity, variety
-from variety_forge.terms import BRACKET, DOT
+from variety_forge.catalog import (_IDENTITY_SOURCES, algebra, algebra_names, identity,
+                                   variety, variety_names)
+from variety_forge.exprs import parse_expr
+from variety_forge.terms import BRACKET, DOT, PLAIN
 
-from conftest import dense_rref, seeded
+from conftest import dense_rref, random_element, seeded
 
 F = Fraction
 
@@ -94,6 +96,15 @@ def test_unbound_delta_is_an_error():
     with pytest.raises(AlgebraError):
         b1.eval_identity(identity("F-delta"))
     assert b1.eval_identity(identity("F-delta"), delta=F(2)).satisfied
+
+
+def test_fractional_coefficients_need_no_delta_binding():
+    # 1/2 is a constant: checking it must not ask for a value of d
+    half = parse_expr("1/2*m(m(x1,x2),x3) - 1/2*m(x2,m(x3,x1))", (PLAIN,))
+    assert algebra("sc-B1").params == {}
+    entry = algebra("sc-B1").eval_identity(half)
+    assert entry.value == {k: c / 2 for k, c in
+                           algebra("sc-B1").eval_identity(identity("shift-assoc")).value.items()}
 
 
 def test_p_beta_example():
@@ -239,3 +250,105 @@ def test_multilinearity_shortcut_on_random_vectors():
         assignment = {i: {k: F(rng.randint(-5, 5), rng.randint(1, 4))
                           for k in range(a1.dim)} for i in (1, 2, 3)}
         assert not a1.eval_element(law, assignment, delta=F(-1))
+
+
+# ---------------------------------------------------------------------------
+# eval_identity against the per-tuple loop it replaced
+
+def _per_tuple_check(a, e, delta):
+    """(satisfied, witness, value) by walking every basis tuple in
+    lexicographic order through eval_element; the first nonzero value wins."""
+    missing = e.op_names() - set(a.tables)
+    if missing:
+        raise AlgebraError("algebra lacks operations %s" % sorted(missing))
+    # coefficient errors come before the walk, even when there are no tuples
+    a.eval_element(e, {i: {} for i in range(1, e.arity + 1)}, delta)
+    for tup in itertools.product(range(a.dim), repeat=e.arity):
+        value = a.eval_element(e, {i + 1: {t: F(1)} for i, t in enumerate(tup)}, delta)
+        if value:
+            return False, tup, value
+    return True, None, None
+
+
+def _sparse_check(a, e, delta):
+    entry = a.eval_identity(e, delta=delta)
+    return entry.satisfied, entry.witness, entry.value
+
+
+def _outcome(check, a, e, delta):
+    try:
+        return check(a, e, delta)
+    except Exception as exc:  # the exception type is part of the answer
+        return type(exc)
+
+
+def _catalog_identities():
+    """Every catalog identity and every catalog-variety identity, once each."""
+    out = {}
+    for name in sorted(_IDENTITY_SOURCES):
+        out.setdefault(str(identity(name)), identity(name))
+    for name in variety_names():
+        for e in variety(name).identities:
+            out.setdefault(str(e), e)
+    return list(out.values())
+
+
+def _check_algebra(name):
+    if name == "A1xA1":
+        return tensor(algebra("A1"), algebra("A1"))
+    if name == "A1xA2":
+        return tensor(algebra("A1"), algebra("A2"))
+    return algebra(name)
+
+
+@pytest.mark.parametrize("name", algebra_names() + ["A1xA1", "A1xA2"])
+def test_eval_identity_matches_the_per_tuple_loop(name):
+    a = _check_algebra(name)
+    for e in _catalog_identities():
+        uses_d = any(not c.is_constant() for c in e.terms.values())
+        walks = {}
+        for delta in (None, F(-1), F(2)):
+            # eval_element reads d only for coefficients that involve it, and
+            # then at delta or else at the algebra's binding: one walk per value
+            q = (delta if delta is not None else a.params.get("delta")) if uses_d else None
+            if q not in walks:
+                walks[q] = _outcome(_per_tuple_check, a, e, delta)
+            assert _outcome(_sparse_check, a, e, delta) == walks[q], (name, str(e), delta)
+
+
+def _random_algebra(rng, ops):
+    """Sparse random structure constants in dimension 2-4; a symmetric or
+    antisymmetric product is declared once and mirrored by the Algebra."""
+    dim = rng.randint(2, 4)
+    products = []
+    for op in ops:
+        for i, j in itertools.product(range(1, dim + 1), repeat=2):
+            if op.symmetry != "none" and (j < i or (j == i and op.symmetry == "antisymmetric")):
+                continue
+            if rng.random() < 0.3:
+                comps = {k: F(rng.randint(-3, 3), rng.randint(1, 2))
+                         for k in rng.sample(range(1, dim + 1), rng.randint(1, 2))}
+                products.append((op.name, i, j, comps))
+    return Algebra(dim, ops, products)
+
+
+def test_eval_identity_on_random_sparse_algebras():
+    rng = seeded(11)
+    seen = set()
+    for ops in ((DOT, BRACKET), (DOT,), (BRACKET,), (PLAIN,)):
+        for _ in range(25):
+            a = _random_algebra(rng, ops)
+            e = random_element(rng, ops, rng.randint(3, 4), max_terms=rng.randint(1, 4))
+            expected = _per_tuple_check(a, e, None)
+            assert _sparse_check(a, e, None) == expected
+            seen.add(expected[0])
+    assert seen == {True, False}
+
+
+def test_eighty_one_dimensional_tensor_power_is_transposed_minus_one():
+    # closure under the tensor product (criterion 12), at dim 81 where the
+    # per-tuple loop would walk 81^3 = 531,441 tuples per identity
+    a1 = algebra("A1")
+    big = tensor(tensor(tensor(a1, a1), a1), algebra("A2"))
+    assert big.dim == 81
+    assert big.check_variety(variety("transposed-delta-poisson", delta=F(-1))).all_satisfied

@@ -163,6 +163,22 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "dim", "delta-mixed-poisson", "--arity", "3",
                        "--delta", "0", "--no-timing")
     assert code == 2 and "vanishes" in err
+    # a Koszulness order below 1 compares nothing
+    code, _, err = run(capsys, "koszul", "mixed-poisson", "--order", "-1", "--no-timing")
+    assert code == 2 and "order must be positive" in err
+    code, out, err = run(capsys, "koszul", "mixed-poisson", "--order", "0", "--no-timing")
+    assert code == 2 and "order must be positive" in err and out == ""
+
+
+def test_out_of_memory_is_a_resource_abort(capsys, monkeypatch):
+    import variety_forge.cli as cli
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_dim", exhausted)
+    code, _, err = run(capsys, "dim", "delta-poisson", "--arity", "3", "--no-timing")
+    assert code == 3 and err.startswith("error: out of memory")
 
 
 def test_deterministic_output(capsys):

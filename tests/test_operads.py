@@ -166,6 +166,24 @@ def test_koszulness_witnesses():
     assert w3.dims == (1, 1, 1, 1) and w3.dual_dims == (1, 1, 2, 6)
 
 
+def test_koszulness_past_the_paper_tables():
+    # the paper's tables stop at t^5; transposed delta-Poisson already fails
+    # there, and the mixed-Poisson / com-lie pair stays consistent at t^6
+    tdp = koszulness_witness(variety("transposed-delta-poisson"), 5)
+    assert tdp.dims == tdp.dual_dims == (1, 2, 6, 20, 66)
+    assert tdp.deviation_order == 5 and tdp.deviation == F(1, 10)
+    assert not tdp.consistent
+
+    mp = koszulness_witness(variety("mixed-poisson"), 6)
+    assert mp.consistent
+    assert mp.dims[-2:] == (25, 121) and mp.dual_dims[-2:] == (695, 9256)
+    assert "verdict=consistent with Koszul through order 6" in mp.to_lines()
+
+    cl = koszulness_witness(variety("com-lie"), 6)
+    assert cl.consistent
+    assert cl.dims == mp.dual_dims and cl.dual_dims == mp.dims
+
+
 def test_koszulness_witness_sampled_flag():
     w = koszulness_witness(variety("delta-poisson"), 3, mode="sampled")
     assert w.probabilistic
