@@ -80,7 +80,7 @@ class Algebra:
         """Bilinear product of sparse vectors {index: Fraction}."""
         table = self.tables.get(op_name)
         if table is None:
-            return {}
+            raise AlgebraError("algebra lacks operations %s" % [op_name])
         out = {}
         for i, a in u.items():
             for j, b in v.items():
@@ -97,11 +97,17 @@ class Algebra:
 
     def eval_element(self, e: Element, assignment, delta=None):
         """Value of a multilinear element on vectors x_i -> assignment[i]."""
+        self._require_ops(e)
         coeffs = self._coefficients(e, delta)
         out = {}
         for mono, c in zip(e.terms.keys(), coeffs):
             _add_scaled(out, self._eval_tree(mono.tree, assignment), c)
         return out
+
+    def _require_ops(self, e: Element):
+        missing = e.op_names() - set(self.tables)
+        if missing:
+            raise AlgebraError("algebra lacks operations %s" % sorted(missing))
 
     def _coefficients(self, e: Element, delta):
         q = delta if delta is not None else self.params.get("delta")
@@ -126,9 +132,7 @@ class Algebra:
         not dim ** arity.  The witness is the smallest failing tuple, the one
         a lexicographic walk over all basis tuples would meet first.
         """
-        missing = e.op_names() - set(self.tables)
-        if missing:
-            raise AlgebraError("algebra lacks operations %s" % sorted(missing))
+        self._require_ops(e)
         coeffs = self._coefficients(e, delta)
         by_left = {}
         for op_name, table in self.tables.items():
@@ -381,7 +385,7 @@ def merge_polarization(a: Algebra, op_name: str = "m") -> Algebra:
 # ---------------------------------------------------------------------------
 # file format
 
-_DEFAULT_OP_SYMMETRY = {"dot": "symmetric", "bracket": "antisymmetric"}
+_DEFAULT_OP_SYMMETRY = ops_table((DOT, BRACKET))
 
 
 def parse_algebra_text(text: str, name: str = "") -> Algebra:
@@ -395,12 +399,20 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
             continue
         parts = line.split()
         if parts[0] == "dim":
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise AlgebraError("line %d: expected 'dim <n>'" % lineno)
             dim = int(parts[1])
         elif parts[0] == "param":
-            body = line[len("param"):].strip()
-            pname, value = (s.strip() for s in body.split("="))
-            params[pname] = _F(value)
+            # without '=', value is "" and Fraction rejects it
+            pname, _, value = line[len("param"):].partition("=")
+            try:
+                params[pname.strip()] = _F(value)
+            except (ValueError, ZeroDivisionError):
+                raise AlgebraError("line %d: expected 'param <name> = <rational>'"
+                                   % lineno) from None
         elif parts[0] == "op":
+            if len(parts) != 3:
+                raise AlgebraError("line %d: expected 'op <name> <symmetry>'" % lineno)
             op_decls[parts[1]] = parts[2]
         else:
             product_lines.append((lineno, line))

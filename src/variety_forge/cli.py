@@ -65,11 +65,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational number: %r" % text)
 
 
-def _emit_timing(args, started):
-    if not args.no_timing:
-        print("time=%.3fs" % (time.time() - started))
-
-
 def _expect(args, answer: bool) -> int:
     if args.expect is not None and (args.expect == "yes") != answer:
         return EXIT_NEGATIVE
@@ -80,18 +75,15 @@ def _expect(args, answer: bool) -> int:
 # subcommands
 
 def cmd_dim(args):
-    started = time.time()
     v = _resolve_variety(args.variety, args.delta)
     d = dim_multilinear(v, args.arity, mode=args.mode)
     print("dim=%d" % d)
     if args.mode == "sampled":
         print("certified=upper-bound (sampled ranks are lower bounds)")
-    _emit_timing(args, started)
     return EXIT_OK
 
 
 def cmd_consequence(args):
-    started = time.time()
     v = _resolve_variety(args.variety, args.delta)
     try:
         target = catalog.identity(args.target)
@@ -104,24 +96,20 @@ def cmd_consequence(args):
     print("rank=%d" % space.rank)
     if args.mode == "sampled":
         print("probabilistic=yes")
-    _emit_timing(args, started)
     return _expect(args, answer)
 
 
 def cmd_equiv(args):
-    started = time.time()
     v1 = _resolve_variety(args.variety1, args.delta)
     v2 = _resolve_variety(args.variety2, args.delta)
     answer = equivalent(v1, v2, args.arity, mode=args.mode)
     print("equivalent=%s" % ("yes" if answer else "no"))
     if args.mode == "sampled":
         print("probabilistic=yes")
-    _emit_timing(args, started)
     return _expect(args, answer)
 
 
 def cmd_check(args):
-    started = time.time()
     a = _resolve_algebra(args.algebra)
     try:
         v = _resolve_variety(args.variety, args.delta)
@@ -133,15 +121,12 @@ def cmd_check(args):
             raise _InputError("no such variety or identity: %r" % args.variety)
         report_entry = a.eval_identity(ident, delta=args.delta, label=args.variety)
         print(report_entry)
-        _emit_timing(args, started)
         return _expect(args, report_entry.satisfied)
     print(report)
-    _emit_timing(args, started)
     return _expect(args, report.all_satisfied)
 
 
 def cmd_tensor(args):
-    started = time.time()
     a = _resolve_algebra(args.algebra1)
     b = _resolve_algebra(args.algebra2)
     out = tensor(a, b)
@@ -152,12 +137,10 @@ def cmd_tensor(args):
         print("written=%s dim=%d" % (args.output, out.dim))
     else:
         print(text, end="")
-    _emit_timing(args, started)
     return EXIT_OK
 
 
 def cmd_depolarize(args):
-    started = time.time()
     a = _resolve_algebra(args.algebra)
     names = {op.name for op in a.ops}
     if {"dot", "bracket"} <= names:
@@ -173,12 +156,10 @@ def cmd_depolarize(args):
         print("written=%s dim=%d" % (args.output, out.dim))
     else:
         print(text, end="")
-    _emit_timing(args, started)
     return EXIT_OK
 
 
 def cmd_dual(args):
-    started = time.time()
     v = _resolve_variety(args.variety, args.delta)
     try:
         p = catalog.presentation(args.variety)
@@ -196,33 +177,27 @@ def cmd_dual(args):
         print("  %s" % format_element(rel))
     mixed = sum(1 for rel in dual.relations if len(rel.op_names()) > 1)
     print("mixed_relations=%d" % mixed)
-    _emit_timing(args, started)
     return EXIT_OK
 
 
 def cmd_koszul(args):
-    started = time.time()
     v = _resolve_variety(args.variety, args.delta)
     verdict = koszulness_witness(v, args.order, mode=args.mode)
     print(verdict)
     for line in verdict.to_lines():
         print(line)
-    _emit_timing(args, started)
     return EXIT_OK
 
 
 def cmd_free_basis(args):
-    started = time.time()
     report = free_delta_p_basis(args.arity)
     print("%s = %d" % (" + ".join(str(c) for c in report.counts), report.total))
     if args.verbose:
         print(report)
-    _emit_timing(args, started)
     return EXIT_OK
 
 
 def cmd_export_catalog(args):
-    started = time.time()
     outdir = args.output or "catalog"
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -238,7 +213,6 @@ def cmd_export_catalog(args):
         written.append(path)
     for path in written:
         print("written=%s" % path)
-    _emit_timing(args, started)
     return EXIT_OK
 
 
@@ -334,8 +308,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        code = args.func(args)
     except ArityOverflowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
@@ -349,6 +324,9 @@ def main(argv=None) -> int:
             catalog.CatalogError, ValueError, ZeroDivisionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    if not args.no_timing:
+        print("time=%.3fs" % (time.time() - started))
+    return code
 
 
 if __name__ == "__main__":

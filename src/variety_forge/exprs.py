@@ -218,20 +218,18 @@ def parse_expr(text: str, ops, allow_multilinearize: bool = False,
     if not raw:
         return Element(arity if arity is not None else 0)
     try:
-        acc = {}
+        # one Element per arity, so that terms of different arities may cancel
+        by_arity = {}
         for tree, coeff in raw:
-            sign, mono = normalize_tree(tree, lambda n: table[n])
-            cur = acc.get(mono)
-            new = (coeff if sign == 1 else coeff * (-1)) if cur is None else \
-                cur + (coeff if sign == 1 else coeff * (-1))
-            if new.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = new
-        arities = {m.arity for m in acc}
-        if len(arities) > 1:
+            sign, mono = normalize_tree(tree, table)
+            acc = by_arity.get(mono.arity)
+            if acc is None:
+                acc = by_arity[mono.arity] = Element(mono.arity)
+            acc._add(mono, coeff if sign == 1 else -coeff)
+        nonzero = [acc for acc in by_arity.values() if not acc.is_zero()]
+        if len(nonzero) > 1:
             raise TermError("terms of different arities remain after cancellation")
-        out = Element(arities.pop() if acc else (arity or 0), acc)
+        out = nonzero[0] if nonzero else Element(arity or 0)
     except TermError:
         if not allow_multilinearize:
             raise

@@ -1,7 +1,8 @@
 """Binary quadratic operad presentations, Koszul duals, Hilbert-series tests.
 
-The Koszul dual is computed in the arity-3 component: close the relation rows
-under the S3 action, then take the orthogonal complement under the
+The Koszul dual is computed in the arity-3 component: the relations span the
+arity-3 consequence space (``engine.consequences``, which closes them under
+the S3 action), and the dual takes its orthogonal complement under the
 sign-twisted pairing that couples each monomial with its operation-swapped
 mirror weighted by the sign of its leaf word.  The pairing normalization is
 calibrated on the self-dual linkage family and cross-checked on the
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import (Variety, dim_multilinear, element_to_row, get_context,
-                     row_to_element)
+from .engine import (Variety, apply_index_map, consequences, dim_multilinear,
+                     get_context, row_to_element)
 from .exprs import parse_expr
-from .linalg import PolyDomain, RowBasis, ZZDomain, nullspace
+from .linalg import nullspace
 from .scalar import RationalFunction
 from .terms import (ANTISYMMETRIC, NONE, SYMMETRIC, Monomial, OpSymbol,
-                    Permutation, act, normalize_tree, ops_table)
+                    Permutation, normalize_tree)
 
 _F = Fraction
 
@@ -94,34 +95,19 @@ def _swap_ops(tree, name_map):
 
 def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     """Dual presentation on the sign-twisted orthogonal complement."""
-    ctx = get_context(p.generators, 3)
     dual_ops, name_map = _dual_signature(p.generators)
     dual_ctx = get_context(dual_ops, 3)
-    dual_table = ops_table(dual_ops)
-    generic = p.delta is None and p.uses_delta()
-    domain = PolyDomain if generic else ZZDomain
-
-    relation_span = RowBasis(len(ctx.monomials), domain)
-    for rel in p.relations:
-        for sigma in Permutation.all(3):
-            img = act(sigma, rel, p.generators)
-            relation_span.insert(element_to_row(img, ctx, p.delta, domain))
-    if relation_span.rank == len(ctx.monomials):
+    space = consequences(p.variety(), 3)
+    if space.dim == 0:
         raise OperadError("relations span the whole arity-3 space")
 
     twisted = []
-    for i, mono in enumerate(ctx.monomials):
-        sign, img = normalize_tree(_swap_ops(mono.tree, name_map),
-                                   lambda n: dual_table[n])
+    for mono in space.monomials:
+        sign, img = normalize_tree(_swap_ops(mono.tree, name_map), dual_ctx.table)
         twisted.append((dual_ctx.index[img], sign * _leaf_sign(mono)))
-    neg = domain.neg
-    m_rows = []
-    for row in relation_span.rows.values():
-        out = {}
-        for c, v in row.items():
-            j, s = twisted[c]
-            out[j] = v if s == 1 else neg(v)
-        m_rows.append(out)
+    domain = space.basis.domain
+    m_rows = [apply_index_map(row, twisted, domain.neg)
+              for row in space.basis.rows.values()]
     kernel = nullspace(m_rows, len(dual_ctx.monomials), domain)
     relations = tuple(row_to_element(row, dual_ctx.monomials, 3)
                       for row in kernel.field_rows())

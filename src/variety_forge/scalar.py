@@ -28,15 +28,8 @@ class DegreeOverflowError(ArithmeticError):
     """Intermediate polynomial degree exceeded the configured ceiling."""
 
 
-# Default ceiling; computations that legitimately need more can raise it.
+# Ceiling on the degree of any polynomial product.
 _DEGREE_LIMIT = 64
-
-
-def set_degree_limit(limit: int) -> int:
-    """Set the polynomial degree ceiling; returns the previous value."""
-    global _DEGREE_LIMIT
-    old, _DEGREE_LIMIT = _DEGREE_LIMIT, int(limit)
-    return old
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ their shape, op-word and leaf-word tuples: equal tuples are one shared object.
 
 Elements are finite sums of canonical monomials with coefficients in Q(d);
 an identity is an element asserted to vanish.
+
+A raw tree becomes canonical in one place: ``normalize_tree(tree, table)``,
+with ``table`` the name -> symmetry dict of ``ops_table``, returns the sign
+and the ``Monomial``.  ``Monomial(tree, arity, key)`` only wraps a tree that
+is already canonical.  Every rewrite of an element (relabelling,
+substitution, polarization, ...) produces raw (tree, coeff) pairs and sums
+them through ``_collect``.
 """
 
 from __future__ import annotations
@@ -23,15 +30,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import RF_ONE, RationalFunction
+from .scalar import RationalFunction
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 NONE = "none"
 
 _SYMMETRIES = (SYMMETRIC, ANTISYMMETRIC, NONE)
-
-HALF = RationalFunction.from_fraction(Fraction(1, 2))
 
 
 class TermError(ValueError):
@@ -79,40 +84,27 @@ def _tree_key(tree):
     return (tuple(shape), tuple(ops), tuple(leaves))
 
 
-def _tree_leaves(tree, out):
-    if isinstance(tree, int):
-        out.append(tree)
-    else:
-        _tree_leaves(tree[1], out)
-        _tree_leaves(tree[2], out)
-
-
 class Monomial:
-    """A canonical multilinear monomial.  Construct through ``normalize``."""
+    """A canonical multilinear monomial; obtain one through ``normalize``.
+
+    The constructor trusts its caller: ``tree`` is already canonical, and
+    ``key`` is its ``_tree_key``.
+    """
 
     __slots__ = ("tree", "arity", "_key", "_hash")
 
-    def __init__(self, tree, _trusted=False):
-        if not _trusted:
-            sign, mono = normalize_tree(tree, _symmetry_oracle)
-            if sign != 1:
-                raise TermError("tree is not in canonical form: %r" % (tree,))
-            tree = mono.tree
-        leaves = []
-        _tree_leaves(tree, leaves)
+    def __init__(self, tree, arity, key):
         self.tree = tree
-        self.arity = len(leaves)
-        self._key = _tree_key(tree)
-        self._hash = hash(self._key)
+        self.arity = arity
+        self._key = key
+        self._hash = hash(key)
 
     @property
     def key(self):
         return self._key
 
     def leaves(self):
-        out = []
-        _tree_leaves(self.tree, out)
-        return out
+        return list(self._key[2])
 
     def op_names(self):
         return set(self._key[1])
@@ -139,18 +131,6 @@ def format_tree(tree) -> str:
     return "%s(%s,%s)" % (tree[0], format_tree(tree[1]), format_tree(tree[2]))
 
 
-# Symmetry lookup used during normalization: trees only carry op names, so the
-# caller supplies name -> symmetry.  A global default covers dot/bracket/m.
-_DEFAULT_SYMMETRY = {DOT.name: SYMMETRIC, BRACKET.name: ANTISYMMETRIC, PLAIN.name: NONE}
-
-
-def _symmetry_oracle(name):
-    try:
-        return _DEFAULT_SYMMETRY[name]
-    except KeyError:
-        raise TermError("unknown operation %r" % name)
-
-
 def ops_table(ops) -> dict:
     table = {}
     for op in ops:
@@ -160,35 +140,34 @@ def ops_table(ops) -> dict:
     return table
 
 
-def normalize_tree(tree, symmetry_of, fragment=False):
-    """Canonicalize a raw tree; returns (sign, Monomial).
+def normalize_tree(tree, table, fragment=False):
+    """Canonicalize a raw tree over the name -> symmetry ``table``.
 
-    With fragment=True leaf labels need only be distinct, which is the shape
-    substitution arguments come in; otherwise they must be exactly 1..n.
+    Returns (sign, Monomial).  With fragment=True leaf labels need only be
+    distinct, which is the shape substitution arguments come in; otherwise
+    they must be exactly 1..n.
     """
-    sign, canon = _normalize_rec(tree, symmetry_of)
-    leaves = []
-    _tree_leaves(canon, leaves)
+    sign, canon = _normalize_rec(tree, table)
+    key = _tree_key(canon)
+    leaves = key[2]
     if fragment:
         if len(set(leaves)) != len(leaves):
             raise TermError("repeated variable in monomial: %r" % (tree,))
     elif sorted(leaves) != list(range(1, len(leaves) + 1)):
         raise TermError("monomial is not multilinear in x1..xn: %r" % (tree,))
-    m = Monomial.__new__(Monomial)
-    m.tree = canon
-    m.arity = len(leaves)
-    m._key = _tree_key(canon)
-    m._hash = hash(m._key)
-    return sign, m
+    return sign, Monomial(canon, len(leaves), key)
 
 
-def _normalize_rec(tree, symmetry_of):
+def _normalize_rec(tree, table):
     if isinstance(tree, int):
         return 1, tree
     name, left, right = tree
-    sym = symmetry_of(name) if callable(symmetry_of) else symmetry_of[name]
-    sl, left = _normalize_rec(left, symmetry_of)
-    sr, right = _normalize_rec(right, symmetry_of)
+    try:
+        sym = table[name]
+    except KeyError:
+        raise TermError("unknown operation %r" % name) from None
+    sl, left = _normalize_rec(left, table)
+    sr, right = _normalize_rec(right, table)
     sign = sl * sr
     if sym != NONE and _tree_key(left) > _tree_key(right):
         left, right = right, left
@@ -197,17 +176,9 @@ def _normalize_rec(tree, symmetry_of):
     return sign, (name, left, right)
 
 
-def normalize(tree, ops=None, fragment=False):
+def normalize(tree, ops, fragment=False):
     """Public canonicalization: (sign, Monomial) for a raw labelled tree."""
-    table = ops_table(ops) if ops is not None else _DEFAULT_SYMMETRY
-    return normalize_tree(tree, lambda n: _lookup(table, n), fragment=fragment)
-
-
-def _lookup(table, name):
-    try:
-        return table[name]
-    except KeyError:
-        raise TermError("unknown operation %r" % name)
+    return normalize_tree(tree, ops_table(ops), fragment=fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +257,14 @@ class Element:
         return "Element(%s)" % self
 
 
+def _collect(arity, pairs, table):
+    """The Element of the given arity summing coeff * tree over raw pairs."""
+    out = Element(arity)
+    for tree, coeff in pairs:
+        sign, mono = normalize_tree(tree, table)
+        out._add(mono, coeff if sign == 1 else -coeff)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -302,10 +281,6 @@ class Permutation:
         self.image = image
 
     @staticmethod
-    def identity(n):
-        return Permutation(range(1, n + 1))
-
-    @staticmethod
     def transposition(n, i, j):
         img = list(range(1, n + 1))
         img[i - 1], img[j - 1] = j, i
@@ -315,11 +290,6 @@ class Permutation:
     def cycle(n):
         """The n-cycle (1 2 ... n)."""
         return Permutation(list(range(2, n + 1)) + [1]) if n > 1 else Permutation((1,))
-
-    @staticmethod
-    def all(n):
-        for img in itertools.permutations(range(1, n + 1)):
-            yield Permutation(img)
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
@@ -367,16 +337,13 @@ def act(sigma: Permutation, e: Element, ops) -> Element:
                         % (len(sigma.image), e.arity))
     table = ops_table(ops)
     mapping = {i: sigma(i) for i in range(1, e.arity + 1)}
-    out = Element(e.arity)
-    for mono, coeff in e.terms.items():
-        sign, new = normalize_tree(_relabel(mono.tree, mapping), lambda n: _lookup(table, n))
-        out._add(new, coeff if sign == 1 else coeff * (-1))
-    return out
+    return _collect(e.arity, ((_relabel(mono.tree, mapping), coeff)
+                              for mono, coeff in e.terms.items()), table)
 
 
 def act_monomial(sigma: Permutation, mono: Monomial, table):
     mapping = {i: sigma(i) for i in range(1, mono.arity + 1)}
-    return normalize_tree(_relabel(mono.tree, mapping), lambda n: _lookup(table, n))
+    return normalize_tree(_relabel(mono.tree, mapping), table)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +369,9 @@ def substitute(e: Element, var: int, g: Monomial, ops) -> Element:
         raise TermError("substitution variables %s collide with element variables" % sorted(clash))
     new_labels = sorted((set(range(1, e.arity + 1)) - {var}) | g_leaves)
     renum = {old: i + 1 for i, old in enumerate(new_labels)}
-    out = Element(len(new_labels))
-    for mono, coeff in e.terms.items():
-        raw = substitute_tree(mono.tree, var, g.tree)
-        raw = _relabel(raw, renum)
-        sign, new = normalize_tree(raw, lambda n: _lookup(table, n))
-        out._add(new, coeff if sign == 1 else coeff * (-1))
-    return out
+    return _collect(len(new_labels),
+                    ((_relabel(substitute_tree(mono.tree, var, g.tree), renum), coeff)
+                     for mono, coeff in e.terms.items()), table)
 
 
 def multiply_by_var(e: Element, op: OpSymbol, position: str = "right") -> Element:
@@ -425,12 +388,8 @@ def multiply_by_var(e: Element, op: OpSymbol, position: str = "right") -> Elemen
             left, right = right, left
             if op.symmetry == ANTISYMMETRIC:
                 sign = -1
-        new = Monomial.__new__(Monomial)
-        new.tree = (op.name, left, right)
-        new.arity = fresh
-        new._key = _tree_key(new.tree)
-        new._hash = hash(new._key)
-        out._add(new, coeff if sign == 1 else coeff * (-1))
+        tree = (op.name, left, right)
+        out._add(Monomial(tree, fresh, _tree_key(tree)), coeff if sign == 1 else -coeff)
     return out
 
 
@@ -478,15 +437,7 @@ def enumerate_coded(n: int, ops):
         if code.__class__ is not int:
             code = (code[0], new_id[code[1]], new_id[code[2]])
         nodes.append(code)
-    monomials = []
-    for t in top:
-        m = Monomial.__new__(Monomial)
-        m.tree = trees[t]
-        m.arity = n
-        m._key = keys[t]
-        m._hash = hash(m._key)
-        monomials.append(m)
-    return monomials, nodes
+    return [Monomial(trees[t], n, keys[t]) for t in top], nodes
 
 
 class _SubtreeCoder:
@@ -571,10 +522,8 @@ def multilinearize(e, ops) -> list:
     table = ops_table(ops)
     components = {}
     for tree, coeff in e:
-        leaves = []
-        _tree_leaves(tree, leaves)
         degree = {}
-        for v in leaves:
+        for v in _tree_key(tree)[2]:
             degree[v] = degree.get(v, 0) + 1
         key = tuple(sorted(degree.items()))
         components.setdefault(key, []).append((tree, coeff))
@@ -587,25 +536,17 @@ def multilinearize(e, ops) -> list:
         for v in variables:
             blocks[v] = list(range(base, base + degree[v]))
             base += degree[v]
-        arity = base - 1
-        acc = Element(arity)
-        for tree, coeff in part:
-            if not isinstance(coeff, RationalFunction):
-                coeff = RationalFunction.from_fraction(coeff)
-            for assign in _occurrence_assignments(tree, blocks):
-                relabeled = _relabel_occurrences(tree, assign)
-                sign, mono = normalize_tree(relabeled, lambda n: _lookup(table, n))
-                acc._add(mono, coeff if sign == 1 else coeff * (-1))
-        out.append(acc)
+        out.append(_collect(base - 1, ((_relabel_occurrences(tree, assign), coeff)
+                                       for tree, coeff in part
+                                       for assign in _occurrence_assignments(tree, blocks)),
+                            table))
     return out
 
 
 def _occurrence_assignments(tree, blocks):
     """Yield per-occurrence label assignments: lists consumed left to right."""
-    leaves = []
-    _tree_leaves(tree, leaves)
     positions = {}
-    for idx, v in enumerate(leaves):
+    for idx, v in enumerate(_tree_key(tree)[2]):
         positions.setdefault(v, []).append(idx)
     per_var = []
     for v, occ in sorted(positions.items()):
@@ -639,26 +580,8 @@ def polarize_expr(e: Element, plain_op=None, dot=DOT, bracket=BRACKET) -> Elemen
         plain = names.pop() if names else PLAIN.name
     else:
         plain = plain_op.name
-    table = {dot.name: dot.symmetry, bracket.name: bracket.symmetry}
-    out = Element(e.arity)
-    for mono, coeff in e.terms.items():
-        for tree, sign in _polarize_tree(mono.tree, plain, dot.name, bracket.name):
-            snorm, new = normalize_tree(tree, lambda n: _lookup(table, n))
-            out._add(new, coeff * (sign * snorm))
-    return out
-
-
-def _polarize_tree(tree, plain, dot_name, bracket_name):
-    if isinstance(tree, int):
-        return [(tree, 1)]
-    if tree[0] != plain:
-        raise TermError("unexpected operation %r in one-operation element" % tree[0])
-    out = []
-    for lt, ls in _polarize_tree(tree[1], plain, dot_name, bracket_name):
-        for rt, rs in _polarize_tree(tree[2], plain, dot_name, bracket_name):
-            out.append(((dot_name, lt, rt), ls * rs))
-            out.append(((bracket_name, lt, rt), ls * rs))
-    return out
+    rules = {plain: ((dot.name, False, 1), (bracket.name, False, 1))}
+    return _collect(e.arity, _expand_terms(e, rules), ops_table((dot, bracket)))
 
 
 def depolarize_expr(e: Element, dot=DOT, bracket=BRACKET, plain_op=PLAIN) -> Element:
@@ -666,26 +589,33 @@ def depolarize_expr(e: Element, dot=DOT, bracket=BRACKET, plain_op=PLAIN) -> Ele
 
     dot(a,b) -> (ab+ba)/2 and bracket(a,b) -> (ab-ba)/2, exactly.
     """
-    allowed = {dot.name, bracket.name}
-    if not e.op_names() <= allowed:
+    if not e.op_names() <= {dot.name, bracket.name}:
         raise TermError("element uses operations outside {%s, %s}" % (dot.name, bracket.name))
-    table = {plain_op.name: plain_op.symmetry}
-    out = Element(e.arity)
-    for mono, coeff in e.terms.items():
-        for tree, weight in _depolarize_tree(mono.tree, dot.name, bracket.name, plain_op.name):
-            snorm, new = normalize_tree(tree, lambda n: _lookup(table, n))
-            out._add(new, coeff * weight * (1 if snorm == 1 else -1))
-    return out
+    half = Fraction(1, 2)
+    rules = {dot.name: ((plain_op.name, False, half), (plain_op.name, True, half)),
+             bracket.name: ((plain_op.name, False, half), (plain_op.name, True, -half))}
+    return _collect(e.arity, _expand_terms(e, rules), ops_table((plain_op,)))
 
 
-def _depolarize_tree(tree, dot_name, bracket_name, plain):
+def _expand_terms(e, rules):
+    return ((tree, coeff * weight) for mono, coeff in e.terms.items()
+            for tree, weight in _expand_tree(mono.tree, rules))
+
+
+def _expand_tree(tree, rules):
+    """Raw (tree, weight) pairs: every node op(a, b) expanded by rules[op].
+
+    ``rules[op]`` lists (new_op, swapped, weight); the node becomes the sum of
+    weight * new_op(a, b), or weight * new_op(b, a) where swapped.
+    """
     if isinstance(tree, int):
-        return [(tree, RF_ONE)]
-    is_dot = tree[0] == dot_name
+        return [(tree, 1)]
+    rule = rules.get(tree[0])
+    if rule is None:
+        raise TermError("unexpected operation %r in one-operation element" % tree[0])
     out = []
-    for lt, lw in _depolarize_tree(tree[1], dot_name, bracket_name, plain):
-        for rt, rw in _depolarize_tree(tree[2], dot_name, bracket_name, plain):
-            w = lw * rw * HALF
-            out.append(((plain, lt, rt), w))
-            out.append(((plain, rt, lt), w if is_dot else w * (-1)))
+    for lt, lw in _expand_tree(tree[1], rules):
+        for rt, rw in _expand_tree(tree[2], rules):
+            for new_op, swapped, weight in rule:
+                out.append(((new_op, rt, lt) if swapped else (new_op, lt, rt), lw * rw * weight))
     return out

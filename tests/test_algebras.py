@@ -39,6 +39,10 @@ def test_load_algebra_errors():
         parse_algebra_text("dim 2\nm e1 e2 = e7\n")
     with pytest.raises(AlgebraError):
         parse_algebra_text("dot e1 e1 = e1\n")  # missing dim
+    for text in ("dim\n", "dim two\n", "dim 2\nop dot\n", "dim 2\nparam delta\n",
+                 "dim 2\nparam delta = x\n"):
+        with pytest.raises(AlgebraError, match=r"^line \d+: "):
+            parse_algebra_text(text)
     conflicting = """
         dim 2
         dot e1 e2 = e1
@@ -96,6 +100,17 @@ def test_unbound_delta_is_an_error():
     with pytest.raises(AlgebraError):
         b1.eval_identity(identity("F-delta"))
     assert b1.eval_identity(identity("F-delta"), delta=F(2)).satisfied
+
+
+def test_missing_operation_is_an_error_in_every_evaluation():
+    b1 = algebra("sc-B1")  # declares only m
+    assoc = identity("assoc")
+    with pytest.raises(AlgebraError, match=r"lacks operations \['dot'\]"):
+        b1.eval_identity(assoc)
+    with pytest.raises(AlgebraError, match=r"lacks operations \['dot'\]"):
+        b1.eval_element(assoc, {i: {0: F(1)} for i in (1, 2, 3)})
+    with pytest.raises(AlgebraError):
+        b1.apply("dot", {0: F(1)}, {0: F(1)})
 
 
 def test_fractional_coefficients_need_no_delta_binding():

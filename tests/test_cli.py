@@ -148,7 +148,7 @@ def test_sampled_mode(capsys):
     assert code == 0 and out == "equivalent=yes\nprobabilistic=yes\n"
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("VARIETY_FORGE_MAX_ARITY", raising=False)
     code, _, err = run(capsys, "dim", "no-such-thing", "--arity", "3", "--no-timing")
     assert code == 2 and "no such file or catalog variety" in err
@@ -168,6 +168,14 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 2 and "order must be positive" in err
     code, out, err = run(capsys, "koszul", "mixed-poisson", "--order", "0", "--no-timing")
     assert code == 2 and "order must be positive" in err and out == ""
+    # a malformed algebra file is an input error naming its line, not a crash
+    for i, (text, lineno) in enumerate((("dim\n", 1), ("dim 2\nop dot\n", 2),
+                                        ("dim 2\nparam delta\n", 2))):
+        path = tmp_path / ("bad%d.alg" % i)
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path), "assoc", "--no-timing")
+        assert code == 2 and out == "", text
+        assert err.startswith("error: line %d: " % lineno) and "Traceback" not in err, err
 
 
 def test_out_of_memory_is_a_resource_abort(capsys, monkeypatch):
@@ -179,6 +187,19 @@ def test_out_of_memory_is_a_resource_abort(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_dim", exhausted)
     code, _, err = run(capsys, "dim", "delta-poisson", "--arity", "3", "--no-timing")
     assert code == 3 and err.startswith("error: out of memory")
+
+
+def test_timing_line_is_printed_once_and_last(capsys):
+    for argv in (("dim", "mixed-poisson", "--arity", "3"),
+                 ("free-basis", "--arity", "3"),
+                 ("check", "A1", "lie"),        # against a variety
+                 ("check", "sc-B1", "sc2")):    # against a single identity
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) > 1, argv
+        assert [line for line in lines if line.startswith("time=")] == lines[-1:], argv
+        code, out, _ = run(capsys, *argv, "--no-timing")
+        assert "time=" not in out, argv
 
 
 def test_deterministic_output(capsys):

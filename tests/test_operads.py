@@ -1,19 +1,23 @@
 """Quadratic presentations, Koszul duals, Hilbert series, free bases."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from variety_forge.catalog import presentation, variety
-from variety_forge.engine import dim_multilinear, equivalent
+from variety_forge.catalog import presentation, variety, variety_names
+from variety_forge.engine import (consequences, dim_multilinear, element_to_row,
+                                  equivalent, get_context)
 from variety_forge.exprs import format_element
+from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain
 from variety_forge.operads import (OperadError, QuadraticPresentation, Series,
+                                   _dual_signature, _leaf_sign, _swap_ops,
                                    block_basis, compose, dual_relation_matrix,
                                    free_delta_p_basis, hilbert_series,
                                    identity_series, koszul_dual,
-                                   koszulness_witness)
+                                   koszulness_witness, presentation_of_variety)
 from variety_forge.scalar import DELTA
-from variety_forge.terms import OpSymbol
+from variety_forge.terms import OpSymbol, Permutation, act, normalize_tree
 
 F = Fraction
 d = DELTA
@@ -121,6 +125,51 @@ def test_dimension_duality_at_arity_three():
         r1 = consequences(p.variety(), 3).rank
         r2 = consequences(dual.variety(), 3).rank
         assert r1 + r2 == 12
+
+
+def _quadratic_presentations():
+    """Every catalog presentation and every quadratic catalog variety."""
+    out = [presentation(name) for name in
+           ("delta-poisson", "anti-poisson", "poisson", "transposed-delta-poisson",
+            "mixed-poisson", "com", "lie", "com-lie")]
+    for name in variety_names():
+        try:
+            out.append(presentation_of_variety(variety(name)))
+        except OperadError:
+            pass  # an identity of arity 4, or a generator without symmetry
+    return out
+
+
+def test_relation_span_is_the_arity_three_consequence_space():
+    presentations = _quadratic_presentations()
+    assert len(presentations) == 21  # 8 presentations, 13 quadratic varieties
+    for p in presentations:
+        ctx = get_context(p.generators, 3)
+        domain = PolyDomain if p.delta is None and p.uses_delta() else ZZDomain
+        images = [act(Permutation(img), rel, p.generators)
+                  for rel in p.relations for img in itertools.permutations((1, 2, 3))]
+        span = RowBasis(len(ctx.monomials), domain)
+        for img in images:
+            span.insert(element_to_row(img, ctx, p.delta, domain))
+        assert span.canonical_rows() == \
+            consequences(p.variety(), 3).basis.canonical_rows(), p.name
+        # the dual relations are the RREF basis of the orthogonal complement of
+        # that span under the sign-twisted pairing, so they are fixed by it
+        dual = koszul_dual(p)
+        dual_ops, name_map = _dual_signature(p.generators)
+        assert dual.generators == dual_ops
+        assert len(dual.relations) == len(ctx.monomials) - span.rank, p.name
+        dual_table = get_context(dual_ops, 3).table
+        for img in images:
+            for rel in dual.relations:
+                pairing = 0
+                for mono, c in img.terms.items():
+                    sign, twin = normalize_tree(_swap_ops(mono.tree, name_map), dual_table)
+                    if twin in rel.terms:
+                        pairing = pairing + c * rel.terms[twin] * (sign * _leaf_sign(mono))
+                if p.delta is not None and pairing:
+                    pairing = pairing.eval_at(p.delta)
+                assert pairing == 0, (p.name, str(img), str(rel))
 
 
 def test_dual_rejects_bad_presentations():

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from variety_forge import scalar
 from variety_forge.exprs import parse_scalar
 from variety_forge.scalar import (DELTA, DegreeOverflowError, PoleError,
-                                  RationalFunction, pgcd, pdivexact, pmul,
-                                  set_degree_limit)
+                                  RationalFunction, pgcd, pdivexact, pmul)
 
 from conftest import random_rational_function, seeded
 
@@ -80,13 +80,10 @@ def test_pow_and_coercion():
     assert (d ** 2 - 1) / (d + 1) == d - 1
 
 
-def test_degree_ceiling():
-    old = set_degree_limit(8)
-    try:
-        with pytest.raises(DegreeOverflowError):
-            _ = (d + 1) ** 9
-    finally:
-        set_degree_limit(old)
+def test_degree_ceiling(monkeypatch):
+    monkeypatch.setattr(scalar, "_DEGREE_LIMIT", 8)
+    with pytest.raises(DegreeOverflowError):
+        _ = (d + 1) ** 9
 
 
 def test_poly_gcd_divexact():

@@ -32,6 +32,8 @@ def test_normalize_rejects_non_multilinear():
         normalize(("dot", 1, 1), TWO_OPS)
     with pytest.raises(TermError):
         normalize(("dot", 1, 3), TWO_OPS)  # gap in variables
+    with pytest.raises(TermError):
+        normalize(("wedge", 1, 2), TWO_OPS)  # undeclared operation
     # fragments allow gaps but not repeats
     sign, m = normalize(("dot", 1, 3), TWO_OPS, fragment=True)
     assert str(m) == "dot(x1,x3)"
@@ -225,6 +227,8 @@ def test_polarize_depolarize_examples():
         parse_expr("1/2*m(x1,x2) + 1/2*m(x2,x1)", ONE_OP)
     assert depolarize_expr(parse_expr("bracket(x1,x2)", TWO_OPS)) == \
         parse_expr("1/2*m(x1,x2) - 1/2*m(x2,x1)", ONE_OP)
+    with pytest.raises(TermError):
+        depolarize_expr(e)  # m is neither dot nor bracket
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 4))
