@@ -18,10 +18,11 @@ same exact value.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
 
 from .linalg import RowBasis, ZZDomain, rank, to_row
-from .terms import BRACKET, DOT, Element, OpSymbol, ops_table
+from .terms import BRACKET, DOT, Element, OpSymbol, TermError, ops_table
 
 _F = Fraction
 
@@ -391,7 +392,7 @@ _DEFAULT_OP_SYMMETRY = ops_table((DOT, BRACKET))
 def parse_algebra_text(text: str, name: str = "") -> Algebra:
     dim = None
     params = {}
-    op_decls = {}
+    op_by_name = {}
     product_lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -413,13 +414,15 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
         elif parts[0] == "op":
             if len(parts) != 3:
                 raise AlgebraError("line %d: expected 'op <name> <symmetry>'" % lineno)
-            op_decls[parts[1]] = parts[2]
+            try:
+                op_by_name[parts[1]] = OpSymbol(parts[1], parts[2])
+            except TermError as exc:
+                raise AlgebraError("line %d: %s" % (lineno, exc)) from None
         else:
             product_lines.append((lineno, line))
     if dim is None:
         raise AlgebraError("algebra file lacks a 'dim' line")
     products = []
-    op_names = dict(op_decls)
     for lineno, line in product_lines:
         try:
             lhs, rhs = line.split("=", 1)
@@ -428,14 +431,12 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
             i = int(ei.lstrip("e"))
             j = int(ej.lstrip("e"))
             comps = _parse_lincomb(rhs)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise AlgebraError("line %d: cannot parse product %r" % (lineno, line)) from exc
-        if op_name not in op_names:
-            op_names[op_name] = _DEFAULT_OP_SYMMETRY.get(op_name, "none")
+        if op_name not in op_by_name:
+            op_by_name[op_name] = OpSymbol(op_name, _DEFAULT_OP_SYMMETRY.get(op_name, "none"))
         products.append((op_name, i, j, comps))
-    ops = tuple(OpSymbol(n, s) for n, s in sorted(op_names.items()))
-    if not ops:
-        ops = (DOT, BRACKET)
+    ops = tuple(op for _, op in sorted(op_by_name.items())) or (DOT, BRACKET)
     return Algebra(dim, ops, products, params=params, name=name)
 
 
@@ -484,7 +485,6 @@ def format_algebra(a: Algebra) -> str:
 
 
 def load_algebra(path) -> Algebra:
-    import os.path
     with open(path, "r", encoding="utf-8") as fh:
         return parse_algebra_text(fh.read(),
                                   name=os.path.splitext(os.path.basename(path))[0])

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebras import Algebra
 from .engine import Variety
 from .exprs import parse_expr
-from .terms import BRACKET, DOT, PLAIN, Element
+from .operads import QuadraticPresentation
+from .terms import BRACKET, DOT, PLAIN, Element, Permutation, act
 
 TWO_OPS = (DOT, BRACKET)
 ONE_OP = (PLAIN,)
@@ -327,7 +329,6 @@ def algebra_names():
 
 def algebra(name: str, **params):
     """A catalog algebra; parameter families take their values here."""
-    from .algebras import Algebra
     key = _ALGEBRA_ALIASES.get(name, name)
     try:
         src = _ALGEBRA_SOURCES[key]
@@ -361,14 +362,12 @@ def algebra(name: str, **params):
 
 def _s3_rows(law_name, images):
     """Identity images under the listed permutations, normalized elements."""
-    from .terms import Permutation, act
     base = identity(law_name)
     return tuple(act(Permutation(img), base, TWO_OPS) for img in images)
 
 
 def presentation(name: str):
     """Named binary quadratic presentation with the printed relation order."""
-    from .operads import QuadraticPresentation
     if name in ("delta-poisson", "anti-poisson", "poisson"):
         mixed = _s3_rows("delta-poisson-law",
                          [(1, 2, 3), (1, 3, 2), (3, 2, 1)])

@@ -20,7 +20,7 @@ from .algebras import (Algebra, AlgebraError, format_algebra, load_algebra,
 from .engine import (ArityOverflowError, EngineError, Variety, consequences,
                      dim_multilinear, equivalent, format_variety,
                      is_consequence, load_variety)
-from .exprs import parse_expr
+from .exprs import format_element, parse_expr
 from .operads import (OperadError, free_delta_p_basis, koszul_dual,
                       koszulness_witness, presentation_of_variety)
 from .scalar import DegreeOverflowError
@@ -161,18 +161,11 @@ def cmd_depolarize(args):
 
 def cmd_dual(args):
     v = _resolve_variety(args.variety, args.delta)
-    try:
-        p = catalog.presentation(args.variety)
-        if args.delta is not None:
-            p = p.with_delta(args.delta)
-    except catalog.CatalogError:
-        p = presentation_of_variety(v)
-    dual = koszul_dual(p)
+    dual = koszul_dual(presentation_of_variety(v))
     print("generators:")
     for op in dual.generators:
         print("  op %s %s" % (op.name, op.symmetry))
     print("relations:")
-    from .exprs import format_element
     for rel in dual.relations:
         print("  %s" % format_element(rel))
     mixed = sum(1 for rel in dual.relations if len(rel.op_names()) > 1)

@@ -19,10 +19,12 @@ import itertools
 import os
 from fractions import Fraction
 
+from .exprs import format_element, parse_expr
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
-from .terms import (ANTISYMMETRIC, NONE, Element, OpSymbol, Permutation,
-                    TermError, enumerate_coded, ops_table)
+from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, Element, OpSymbol,
+                    Permutation, TermError, depolarize_expr, enumerate_coded,
+                    ops_table)
 
 # arity 7 is out of reach in either mode: building its context alone takes
 # about 9 s and 480 MB, before any row is inserted
@@ -51,7 +53,8 @@ class Variety:
     """Operation symbols plus a finite list of multilinear identities.
 
     ``delta`` is None for generic-d computations, or a Fraction to specialize
-    every coefficient before any linear algebra.
+    every coefficient before any linear algebra.  ``cache_key`` identifies the
+    consequence spaces: the signature, the set of identities and delta.
     """
 
     def __init__(self, ops, identities, delta=None, name=""):
@@ -66,6 +69,7 @@ class Variety:
             missing = e.op_names() - set(table)
             if missing:
                 raise EngineError("identity uses undeclared operations %s" % sorted(missing))
+        self.cache_key = (self.signature(), frozenset(self.identities), self.delta)
 
     def with_delta(self, q) -> "Variety":
         return Variety(self.ops, self.identities, delta=q, name=self.name)
@@ -83,11 +87,6 @@ class Variety:
 
     def signature(self):
         return tuple(sorted((op.name, op.symmetry) for op in self.ops))
-
-    def cache_key(self):
-        from .exprs import format_element
-        ids = tuple(sorted(format_element(e) for e in self.identities))
-        return (self.signature(), ids, self.delta)
 
     def __repr__(self):
         return "Variety(%s, %d identities, delta=%s)" % (
@@ -285,7 +284,7 @@ def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
         raise ArityOverflowError(
             "arity %d exceeds the configured guard %d "
             "(set VARIETY_FORGE_MAX_ARITY to override)" % (n, guard))
-    key = (v.cache_key(), n)
+    key = (v.cache_key, n)
     space = _SPACE_CACHE.get(key)
     if space is None:
         domain = PolyDomain if (v.delta is None and v.uses_delta()) else ZZDomain
@@ -417,7 +416,6 @@ def equivalent(v1: Variety, v2: Variety, n: int, mode: str = "exact") -> bool:
 
 def depolarize_variety(v: Variety, plain_name: str = "m") -> Variety:
     """One-operation variety whose identities are the depolarized ones."""
-    from .terms import BRACKET, DOT, depolarize_expr
     plain = OpSymbol(plain_name, "none")
     dot = next((op for op in v.ops if op.symmetry == "symmetric"), DOT)
     bracket = next((op for op in v.ops if op.symmetry == "antisymmetric"), BRACKET)
@@ -432,7 +430,6 @@ def depolarize_variety(v: Variety, plain_name: str = "m") -> Variety:
 
 def parse_variety_text(text: str, name: str = "") -> Variety:
     """Line-oriented format: op/param/identity lines, # comments."""
-    from .exprs import parse_expr
     ops = []
     delta = None
     identity_lines = []
@@ -444,14 +441,21 @@ def parse_variety_text(text: str, name: str = "") -> Variety:
             parts = line.split()
             if len(parts) != 3:
                 raise EngineError("line %d: expected 'op <name> <symmetry>'" % lineno)
-            ops.append(OpSymbol(parts[1], parts[2]))
+            try:
+                ops.append(OpSymbol(parts[1], parts[2]))
+            except TermError as exc:
+                raise EngineError("line %d: %s" % (lineno, exc)) from None
         elif line.startswith("param "):
             body = line[len("param "):].strip()
             if "=" in body:
                 pname, value = (s.strip() for s in body.split("=", 1))
                 if pname != "delta":
                     raise EngineError("line %d: unknown parameter %r" % (lineno, pname))
-                delta = Fraction(value)
+                try:
+                    delta = Fraction(value)
+                except (ValueError, ZeroDivisionError):
+                    raise EngineError("line %d: expected 'param delta = <rational>'"
+                                      % lineno) from None
             elif body != "delta":
                 raise EngineError("line %d: unknown parameter %r" % (lineno, body))
         elif line.startswith("identity:"):
@@ -472,7 +476,6 @@ def parse_variety_text(text: str, name: str = "") -> Variety:
 
 
 def format_variety(v: Variety) -> str:
-    from .exprs import format_element
     lines = []
     if v.name:
         lines.append("# %s" % v.name)
@@ -488,6 +491,5 @@ def format_variety(v: Variety) -> str:
 
 
 def load_variety(path) -> Variety:
-    import os.path
     with open(path, "r", encoding="utf-8") as fh:
         return parse_variety_text(fh.read(), name=os.path.splitext(os.path.basename(path))[0])

@@ -1,22 +1,29 @@
 """Parsing and canonical printing of identity expressions.
 
-Grammar (whitespace insignificant)::
+One grammar serves coefficients and identities (whitespace insignificant)::
 
-    expr  := ['-'] term (('+'|'-') term)*
-    term  := [coeff '*'] atom
-    atom  := opname '(' expr ',' expr ')' | var
-    var   := 'x' int
-    coeff := rational function in d (ints, 'd', + - * / ^, parentheses)
+    sum     := product (('+'|'-') product)*
+    product := power (('*'|'/') power)*
+    power   := ('+'|'-') power | primary ['^' int]
+    primary := int | 'd' | var | opname '(' sum ',' sum ')' | '(' sum ')'
+    var     := 'x' int
 
-``parse_scalar`` reads a lone coeff with the same grammar.  Operation
-arguments are full expressions and expand bilinearly, so ``dot(x1+x2, x3)``
-is accepted.  Canonical printing emits terms in the monomial total order
-with explicit signs; parse o print is the identity.
+Every rung has a value of one of two kinds: a scalar in Q(d), or a raw sum of
+``(tree, coefficient)`` pairs.  Scalars combine by field arithmetic; a raw sum
+may be scaled by a scalar, but two monomials never multiply, a monomial never
+divides and never takes a power.  Where an element must stand (the whole
+input of ``parse_expr`` and each operation argument) every term of a sum is a
+raw sum or the scalar zero.  ``parse_scalar`` reads a sum whose value is a
+scalar.  So a sign may precede any factor (``2*-x1``), parentheses may group
+a sum of monomials, and operation arguments expand bilinearly
+(``dot(x1+x2, x3)``).  Canonical printing emits terms in the monomial total
+order with explicit signs; parse o print is the identity.
 """
 
 from __future__ import annotations
 
-from .scalar import DELTA, PONE, RF_ONE, RationalFunction, pconst, pstr
+from .scalar import (DELTA, PONE, RF_ONE, RationalFunction, join_signed, pconst,
+                     pstr, signed_term)
 from .terms import Element, TermError, multilinearize, normalize_tree, ops_table
 
 
@@ -61,8 +68,15 @@ def _lex(text):
     return tokens
 
 
+def _scale(value, c):
+    """A scalar or raw sum times the scalar c."""
+    if isinstance(value, RationalFunction):
+        return value * c
+    return [(tree, c * coeff) for tree, coeff in value]
+
+
 class _Parser:
-    """Recursive-descent parser producing raw (tree, coefficient) sums."""
+    """Recursive descent over one ladder whose values are scalars or raw sums."""
 
     def __init__(self, text, op_table):
         self.tokens = _lex(text)
@@ -84,121 +98,85 @@ class _Parser:
         if tok[0] != "end":
             raise ExprSyntaxError("trailing input", tok[2])
 
-    # -- element expressions --------------------------------------------
+    def as_sum(self, value, at):
+        """The raw sum of a value; a scalar stands for a sum only when zero."""
+        if not isinstance(value, RationalFunction):
+            return value
+        if value.is_zero():
+            return []
+        raise ExprSyntaxError("term has no monomial", at)
 
-    def parse_expr(self):
-        sign = 1
-        if self.peek()[0] in "+-":
-            if self.take()[0] == "-":
-                sign = -1
-        terms = self.parse_term()
-        if sign == -1:
-            terms = [(t, -c) for t, c in terms]
+    def parse_sum(self, raw=False):
+        """A sum of scalars is a scalar.  A sum with a monomial in it, or one
+        read where an element must stand (``raw``), is a raw sum."""
+        items = [(self.peek()[2], self.parse_product())]
         while self.peek()[0] in "+-":
             op = self.take()[0]
-            nxt = self.parse_term()
-            if op == "-":
-                nxt = [(t, -c) for t, c in nxt]
-            terms.extend(nxt)
-        return terms
+            at = self.peek()[2]
+            value = self.parse_product()
+            items.append((at, value if op == "+" else _scale(value, -1)))
+        if raw or not all(isinstance(v, RationalFunction) for _, v in items):
+            return [pair for at, v in items for pair in self.as_sum(v, at)]
+        return sum((v for _, v in items[1:]), items[0][1])
 
-    def parse_term(self):
-        coeff = RF_ONE
-        atom = None
-        while True:
-            kind, payload, at = self.peek()
-            if kind in ("int", "(") or (kind == "ident" and payload == "d"):
-                coeff = coeff * self.parse_scalar_factor()
-            elif kind in ("var", "ident"):
-                if atom is not None:
+    def parse_product(self):
+        value = self.parse_power()
+        while self.peek()[0] in "*/":
+            op = self.take()[0]
+            at = self.peek()[2]
+            rhs = self.parse_power()
+            if not isinstance(rhs, RationalFunction):
+                if op == "/":
+                    raise ExprSyntaxError("division by a monomial is not allowed", at)
+                if not isinstance(value, RationalFunction):
                     raise ExprSyntaxError("a term may contain only one monomial", at)
-                atom = self.parse_atom()
-            else:
-                raise ExprSyntaxError("expected a coefficient or a monomial", at)
-            while self.peek()[0] == "/":
-                self.take()
-                kind2, payload2, at2 = self.peek()
-                if kind2 == "var" or (kind2 == "ident" and payload2 != "d"):
-                    raise ExprSyntaxError("division by a monomial is not allowed", at2)
-                coeff = coeff / self.parse_scalar_factor()
-            if self.peek()[0] == "*":
-                self.take()
-                continue
-            break
-        if atom is None:
-            if coeff.is_zero():
-                return []
-            raise ExprSyntaxError("term has no monomial", self.peek()[2])
-        return [(t, coeff * c) for t, c in atom]
+                value, rhs = rhs, value
+            value = _scale(value, rhs if op == "*" else 1 / rhs)
+        return value
 
-    def parse_atom(self):
+    def parse_power(self):
+        if self.peek()[0] in "+-":
+            sign = self.take()[0]
+            value = self.parse_power()
+            return value if sign == "+" else _scale(value, -1)
+        value = self.parse_primary()
+        if self.peek()[0] == "^":
+            at = self.take()[2]
+            if not isinstance(value, RationalFunction):
+                raise ExprSyntaxError("only a scalar has a power", at)
+            value = value ** self.take("int")[1]
+        return value
+
+    def parse_primary(self):
         kind, payload, at = self.take()
+        if kind == "int":
+            return RationalFunction(pconst(payload))
+        if kind == "ident" and payload == "d":
+            return DELTA
         if kind == "var":
             return [(payload, RF_ONE)]
+        if kind == "(":
+            value = self.parse_sum()
+            self.take(")")
+            return value
         if kind != "ident":
-            raise ExprSyntaxError("expected a monomial", at)
+            raise ExprSyntaxError("expected a scalar or a monomial", at)
         if payload not in self.ops:
             raise ExprSyntaxError("unknown operation %r" % payload, at)
         self.take("(")
-        left = self.parse_expr()
+        left = self.parse_sum(raw=True)
         self.take(",")
-        right = self.parse_expr()
+        right = self.parse_sum(raw=True)
         self.take(")")
-        out = []
-        for lt, lc in left:
-            for rt, rc in right:
-                out.append(((payload, lt, rt), lc * rc))
-        return out
-
-    # -- scalar sub-expressions -------------------------------------------
-
-    def parse_scalar_factor(self):
-        kind, payload, at = self.peek()
-        if kind == "int":
-            self.take()
-            value = RationalFunction(pconst(payload))
-        elif kind == "ident" and payload == "d":
-            self.take()
-            value = DELTA
-        elif kind == "(":
-            self.take()
-            value = self.parse_scalar_expr()
-            self.take(")")
-        elif kind == "-":
-            self.take()
-            return -self.parse_scalar_factor()
-        elif kind == "+":
-            self.take()
-            return self.parse_scalar_factor()
-        else:
-            raise ExprSyntaxError("expected a scalar", at)
-        if self.peek()[0] == "^":
-            self.take()
-            kind, exp, at = self.take("int")
-            value = value ** exp
-        return value
-
-    def parse_scalar_expr(self):
-        value = self.parse_scalar_term()
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            rhs = self.parse_scalar_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_scalar_term(self):
-        value = self.parse_scalar_factor()
-        while self.peek()[0] in "*/":
-            op = self.take()[0]
-            rhs = self.parse_scalar_factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+        return [((payload, lt, rt), lc * rc) for lt, lc in left for rt, rc in right]
 
 
 def parse_scalar(text: str) -> RationalFunction:
     """Parse a scalar in Q(d), e.g. ``(3*d^2-1)/(d-1)`` or ``-2/3``."""
     parser = _Parser(text, {})
-    value = parser.parse_scalar_expr()
+    value = parser.parse_sum()
+    if not isinstance(value, RationalFunction):
+        raise ExprSyntaxError("expected a scalar")
     parser.finish()
     return value
 
@@ -213,7 +191,7 @@ def parse_expr(text: str, ops, allow_multilinearize: bool = False,
     """
     table = ops_table(ops)
     parser = _Parser(text, table)
-    raw = parser.parse_expr()
+    raw = parser.parse_sum(raw=True)
     parser.finish()
     if not raw:
         return Element(arity if arity is not None else 0)
@@ -250,34 +228,18 @@ def parse_expr(text: str, ops, allow_multilinearize: bool = False,
 def _coeff_text(c: RationalFunction):
     """Return (sign, text or None) with text suitable for `text*mono`."""
     num, den = c.num, c.den
-    if den == PONE:
-        nonzero = [i for i, v in enumerate(num) if v]
-        if len(nonzero) == 1:
-            i = nonzero[0]
-            v = num[i]
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            if i == 0:
-                text = None if mag == 1 else str(mag)
-            elif i == 1:
-                text = "d" if mag == 1 else "%d*d" % mag
-            else:
-                text = "d^%d" % i if mag == 1 else "%d*d^%d" % (mag, i)
-            return sign, text
+    if den != PONE:
+        return "+", "(%s)/(%s)" % (pstr(num), pstr(den))
+    nonzero = [i for i, v in enumerate(num) if v]
+    if len(nonzero) != 1:
         return "+", "(%s)" % pstr(num)
-    return "+", "(%s)/(%s)" % (pstr(num), pstr(den))
+    sign, text = signed_term(num[nonzero[0]], "d", nonzero[0])
+    return sign, None if text == "1" else text
 
 
 def format_element(e: Element) -> str:
-    if e.is_zero():
-        return "0"
     parts = []
     for mono, coeff in e.items_sorted():
         sign, text = _coeff_text(coeff)
-        body = str(mono) if text is None else "%s*%s" % (text, mono)
-        parts.append((sign, body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+        parts.append((sign, str(mono) if text is None else "%s*%s" % (text, mono)))
+    return join_signed(parts)

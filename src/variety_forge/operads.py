@@ -15,15 +15,16 @@ certifies non-Koszulness.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .engine import (Variety, apply_index_map, consequences, dim_multilinear,
                      get_context, row_to_element)
 from .exprs import parse_expr
 from .linalg import nullspace
-from .scalar import RationalFunction
-from .terms import (ANTISYMMETRIC, NONE, SYMMETRIC, Monomial, OpSymbol,
-                    Permutation, normalize_tree)
+from .scalar import RationalFunction, join_signed, signed_term
+from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, SYMMETRIC, Monomial,
+                    OpSymbol, Permutation, normalize, normalize_tree)
 
 _F = Fraction
 
@@ -198,22 +199,8 @@ class Series:
         return Series([self.coeffs[i] - other.coeffs[i] for i in range(order)], order)
 
     def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs, 1):
-            if not c:
-                continue
-            mag = abs(c)
-            body = "t" if i == 1 else "t^%d" % i
-            if mag != 1:
-                body = "%s*%s" % (mag, body)
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+        return join_signed([signed_term(c, "t", i)
+                            for i, c in enumerate(self.coeffs, 1) if c])
 
     def __repr__(self):
         return "Series(%s)" % self
@@ -361,7 +348,6 @@ def koszulness_witness(v: Variety, order: int, mode: str = "exact") -> KoszulVer
 
 def _lyndon_multilinear(letters):
     """Standard-bracketing basis monomials: one per word starting at the min."""
-    import itertools
     letters = sorted(letters)
     first, rest = letters[0], letters[1:]
     out = []
@@ -391,7 +377,6 @@ def _is_lyndon(word):
 
 
 def _canonical(tree, ops):
-    from .terms import normalize
     sign, mono = normalize(tree, ops, fragment=True)
     return mono
 
@@ -434,10 +419,9 @@ def free_delta_p_basis(n: int) -> FreeBasisReport:
     For n >= 5 the three families have sizes ((n-1)!, (n-2)!, 1); small
     arities return the explicit bases, which carry extra families.
     """
-    from .catalog import TWO_OPS
     if n < 1:
         raise OperadError("arity must be positive")
-    ops = TWO_OPS
+    ops = (DOT, BRACKET)
     letters = list(range(1, n + 1))
     if n == 1:
         fam = [("generator", [_canonical(1, ops)])]
@@ -454,7 +438,6 @@ def free_delta_p_basis(n: int) -> FreeBasisReport:
     if n == 4:
         mixed = [_canonical(("dot", t, 1), ops)
                  for t in _lyndon_multilinear(letters[1:])]
-        import itertools
         pairs = []
         for a, b in itertools.combinations(letters, 2):
             c, e = sorted(set(letters) - {a, b})

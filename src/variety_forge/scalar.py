@@ -173,29 +173,28 @@ def peval(a: Poly, q: Fraction) -> Fraction:
     return acc
 
 
-def pstr(a: Poly, var: str = "d") -> str:
-    """Human form, descending powers: ``3*d^2-d+1``."""
-    if not a:
+def signed_term(c, var: str, i: int):
+    """``(sign, body)`` of the term c*var^i, unit factors dropped: ``3*d^2``."""
+    sign, mag = ("-" if c < 0 else "+"), abs(c)
+    if i == 0:
+        return sign, str(mag)
+    power = var if i == 1 else "%s^%d" % (var, i)
+    return sign, power if mag == 1 else "%s*%s" % (mag, power)
+
+
+def join_signed(parts, sep: str = " ") -> str:
+    """Join ``(sign, body)`` parts as a signed sum, e.g. ``a - b + c``; ``0`` if none."""
+    if not parts:
         return "0"
-    parts = []
-    for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        elif i == 1:
-            body = var if mag == 1 else "%d*%s" % (mag, var)
-        else:
-            body = "%s^%d" % (var, i) if mag == 1 else "%d*%s^%d" % (mag, var, i)
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
+    (sign, body), rest = parts[0], parts[1:]
+    return ("-" if sign == "-" else "") + body + "".join(
+        sep + sign + sep + body for sign, body in rest)
+
+
+def pstr(a: Poly) -> str:
+    """Human form, descending powers: ``3*d^2-d+1``."""
+    return join_signed([signed_term(a[i], "d", i)
+                        for i in range(len(a) - 1, -1, -1) if a[i]], sep="")
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ def test_load_algebra_errors():
     with pytest.raises(AlgebraError):
         parse_algebra_text("dot e1 e1 = e1\n")  # missing dim
     for text in ("dim\n", "dim two\n", "dim 2\nop dot\n", "dim 2\nparam delta\n",
-                 "dim 2\nparam delta = x\n"):
+                 "dim 2\nparam delta = x\n", "dim 2\nop dot sym\n",
+                 "dim 2\ndot e1 e1 = 1/0*e2\n"):
         with pytest.raises(AlgebraError, match=r"^line \d+: "):
             parse_algebra_text(text)
     conflicting = """

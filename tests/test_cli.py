@@ -170,10 +170,21 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == 2 and "order must be positive" in err and out == ""
     # a malformed algebra file is an input error naming its line, not a crash
     for i, (text, lineno) in enumerate((("dim\n", 1), ("dim 2\nop dot\n", 2),
-                                        ("dim 2\nparam delta\n", 2))):
+                                        ("dim 2\nparam delta\n", 2),
+                                        ("dim 2\nop dot sym\n", 2),
+                                        ("dim 2\ndot e1 e1 = 1/0*e2\n", 2))):
         path = tmp_path / ("bad%d.alg" % i)
         path.write_text(text)
         code, out, err = run(capsys, "check", str(path), "assoc", "--no-timing")
+        assert code == 2 and out == "", text
+        assert err.startswith("error: line %d: " % lineno) and "Traceback" not in err, err
+    # so is a malformed variety file
+    for i, (text, lineno) in enumerate((("op dot symmetric\nparam delta = x\n", 2),
+                                        ("op dot symmetric\nparam delta = 1/0\n", 2),
+                                        ("op dot sym\n", 1))):
+        path = tmp_path / ("bad%d.var" % i)
+        path.write_text(text)
+        code, out, err = run(capsys, "dim", str(path), "--arity", "3", "--no-timing")
         assert code == 2 and out == "", text
         assert err.startswith("error: line %d: " % lineno) and "Traceback" not in err, err
 

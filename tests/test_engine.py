@@ -248,6 +248,19 @@ def test_variety_file_errors():
         parse_variety_text("op dot symmetric\nidentity: dot(x1\n")
     with pytest.raises(EngineError):
         parse_variety_text("op dot symmetric\nfrobnicate\n")
+    for text in ("op dot symmetric\nparam delta = x\n",
+                 "op dot symmetric\nparam delta = 1/0\n",
+                 "op dot sym\n"):
+        with pytest.raises(EngineError, match=r"^line \d+: "):
+            parse_variety_text(text)
+
+
+def test_cache_key_is_the_set_of_identities():
+    v = variety("delta-poisson")
+    ids = v.identities
+    same = Variety(v.ops, tuple(reversed(ids)) + ids[:1])
+    assert consequences(same, 3) is consequences(v, 3)
+    assert consequences(v.with_delta(F(2)), 3) is not consequences(v, 3)
 
 
 def test_depolarize_variety_spans_polarized_image():

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from variety_forge.exprs import ExprSyntaxError, format_element, parse_expr
+from variety_forge.exprs import (ExprSyntaxError, format_element, parse_expr,
+                                 parse_scalar)
 from variety_forge.terms import TermError
 
 from conftest import ONE_OP, TWO_OPS, random_element, seeded
@@ -41,6 +42,11 @@ def test_parse_errors_report_position():
         parse_expr("dot(x1,x2) dot(x3,x4)", TWO_OPS)
     with pytest.raises(ExprSyntaxError):
         parse_expr("2*3", TWO_OPS)
+    for bad in ("x1 + 2", "x1*x2", "x1/x2", "dot(x1,x2)^2", "dot(2,x1)"):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(bad, TWO_OPS)
+    with pytest.raises(ExprSyntaxError):
+        parse_scalar("x1")
 
 
 def test_coefficient_grammar():
@@ -51,6 +57,13 @@ def test_coefficient_grammar():
     # bilinear expansion of compound arguments
     e2 = parse_expr("dot(x1 + bracket(x1,x3) - x1, x2)", TWO_OPS)
     assert e2 == parse_expr("dot(bracket(x1,x3),x2)", TWO_OPS)
+    # a sign may precede any factor, and parentheses may group a sum
+    for text, explicit in (("2*-x1", "-2*x1"),
+                           ("-(dot(x1,x2))", "-dot(x1,x2)"),
+                           ("2*(dot(x1,x2) + bracket(x1,x2))",
+                            "2*dot(x1,x2) + 2*bracket(x1,x2)"),
+                           ("dot(x1,x2)/-2", "-1/2*dot(x1,x2)")):
+        assert parse_expr(text, TWO_OPS) == parse_expr(explicit, TWO_OPS), text
 
 
 def test_zero_literal_and_arity_check():

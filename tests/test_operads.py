@@ -187,6 +187,7 @@ def test_hilbert_series_values():
     # derived by plugging (n-1)!+1 into (-1)^n dim/n!
     assert hilbert_series([1, 2, 3, 7, 25]) == \
         Series([F(-1), F(1), F(-1, 2), F(7, 24), F(-5, 24)])
+    assert str(Series([1, -1, 0, F(1, 2), -3])) == "t - t^2 + 1/2*t^4 - 3*t^5"
 
 
 def test_compose_examples():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from variety_forge import scalar
 from variety_forge.exprs import parse_scalar
 from variety_forge.scalar import (DELTA, DegreeOverflowError, PoleError,
-                                  RationalFunction, pgcd, pdivexact, pmul)
+                                  RationalFunction, pgcd, pdivexact, pmul, pstr)
 
 from conftest import random_rational_function, seeded
 
@@ -71,6 +71,13 @@ def test_parse_scalar_grammar():
     for bad in ["", "d d", "2d", "(d", "d)", "d^-1", "d^d", "x1", "3 +"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_pstr_examples():
+    for poly, text in [((), "0"), ((1,), "1"), ((-1,), "-1"), ((0, -1), "-d"),
+                       ((1, -1, 3), "3*d^2-d+1"), ((0, 0, -2), "-2*d^2"),
+                       ((-5, 0, 1), "d^2-5")]:
+        assert pstr(poly) == text
 
 
 def test_pow_and_coercion():
