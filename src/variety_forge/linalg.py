@@ -2,9 +2,12 @@
 
 Rows are dicts column -> entry.  Entries live in an integral domain: plain
 ints for rational problems, integer-coefficient polynomial tuples for
-generic-d problems.  Elimination is fraction-free (cross-multiplication with
-gcd-reduced multipliers, followed by content reduction), so the reduced rows
-are the field RREF rescaled to a primitive integral form.
+generic-d problems.  Elimination is fraction-free: cross-multiplication by
+the two pivots divided by a common factor (``cancel`` may split by any common
+factor, not only the gcd), followed by content reduction.  Canonical form
+comes from ``reduce_row_full`` in ``insert`` and ``finalize``, so the reduced
+rows are the field RREF rescaled to a primitive integral form whichever
+factor each step cancelled.
 
 ``to_row`` is the one conversion from field values (ints, Fractions,
 RationalFunctions) to such a domain row: it clears every denominator.  The
@@ -30,7 +33,7 @@ import random
 from fractions import Fraction
 
 from .scalar import (PONE, RationalFunction, pcontent, pdeg, pdivexact,
-                     pgcd, pmul, pneg, pnormalize, psub)
+                     pgcd, pmul, pneg, pnormalize, pquo, psub)
 
 
 class ZZDomain:
@@ -102,20 +105,33 @@ class PolyDomain:
                 out[c] = v
         return out
 
-    @staticmethod
-    def mul(a, b):
-        return pmul(a, b)
-
-    @staticmethod
-    def sub(a, b):
-        return psub(a, b)
-
-    @staticmethod
-    def neg(a):
-        return pneg(a)
+    mul = staticmethod(pmul)
+    sub = staticmethod(psub)
+    neg = staticmethod(pneg)
 
     @staticmethod
     def cancel(a, b):
+        """Nonzero (a/g, b/g) for a common factor g of a and b.
+
+        g is the integer gcd when both are constants.  Otherwise it is a or b
+        when one divides the other, and the PRS gcd only when neither does,
+        so cancel may split by a common factor that is not the gcd.
+        Elimination needs no more: canonical form comes from reduce_row_full
+        in insert and finalize.  As with the gcd, the first entry is PONE
+        when a has a positive leading coefficient and divides b, so
+        _eliminate skips scaling r.
+        """
+        if len(a) == 1 and len(b) == 1:
+            g = math.gcd(a[0], b[0])
+            return (a[0] // g,), (b[0] // g,)
+        if a == b:
+            return PONE, PONE
+        q = pquo(b, a)
+        if q is not None:
+            return PONE, q
+        q = pquo(a, b)
+        if q is not None:
+            return q, PONE
         g = pgcd(a, b)
         if g == PONE:
             return a, b
@@ -214,7 +230,7 @@ class RowBasis:
         return out
 
     def _eliminate(self, r, s, p):
-        """r <- a*r - b*s with a = s[p]/g, b = r[p]/g; r[p] becomes zero."""
+        """r <- a*r - b*s with (a, b) = cancel(s[p], r[p]); r[p] becomes zero."""
         dom = self.domain
         a, b = dom.cancel(s[p], r[p])
         mul, sub, neg = dom.mul, dom.sub, dom.neg

@@ -50,10 +50,6 @@ class QuadraticPresentation:
             if rel.arity != 3:
                 raise OperadError("non-quadratic relation of arity %d" % rel.arity)
 
-    def with_delta(self, q):
-        return QuadraticPresentation(self.generators, self.relations, delta=q,
-                                     name=self.name)
-
     def variety(self) -> Variety:
         return Variety(self.generators, self.relations, delta=self.delta,
                        name=self.name)

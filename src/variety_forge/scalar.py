@@ -11,6 +11,7 @@ Polynomials are tuples of ints in ascending degree with no trailing zeros, so
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Poly = tuple  # integer coefficients, ascending degree, no trailing zeros
@@ -48,25 +49,40 @@ def pdeg(p: Poly) -> int:
 
 
 def padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return pnormalize(out)
+    # inputs carry no trailing zeros, so only equal lengths can cancel the top
+    la, lb = len(a), len(b)
+    if la > lb:
+        return tuple(map(operator.add, a, b)) + a[lb:]
+    if la < lb:
+        return tuple(map(operator.add, a, b)) + b[la:]
+    return pnormalize(map(operator.add, a, b))
 
 
 def pneg(a: Poly) -> Poly:
-    return tuple(-v for v in a)
+    return tuple([-v for v in a])
 
 
 def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
+    la, lb = len(a), len(b)
+    if la > lb:
+        return tuple(map(operator.sub, a, b)) + a[lb:]
+    if la < lb:
+        return tuple(map(operator.sub, a, b)) + tuple([-v for v in b[la:]])
+    return pnormalize(map(operator.sub, a, b))
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
+    # Z is an integral domain: the top coefficient a[-1]*b[-1] is never zero,
+    # so the product needs no normalisation
     if not a or not b:
         return PZERO
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        x = a[0]
+        if x == 1:
+            return b
+        return tuple([x * v for v in b])
     if len(a) + len(b) - 2 > _DEGREE_LIMIT:
         raise DegreeOverflowError(
             "polynomial degree %d exceeds ceiling %d"
@@ -74,9 +90,9 @@ def pmul(a: Poly, b: Poly) -> Poly:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return pnormalize(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
 
 def pconst(c: int) -> Poly:
@@ -106,30 +122,44 @@ def pprimitive(a: Poly) -> Poly:
     return tuple(v // c for v in a)
 
 
-def pdivexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a/b in Z[d]; raises if it does not divide."""
+def pquo(a: Poly, b: Poly):
+    """The exact quotient a/b in Z[d], or None when b does not divide a."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return PZERO
-    rem = list(a)
     db, lb = len(b) - 1, b[-1]
     qn = len(a) - len(b)
-    if qn < 0:
-        raise ArithmeticError("inexact polynomial division")
+    # a[-1] = q[-1]*b[-1] and a[0] = q[0]*b[0] reject most non-divisors early
+    if qn < 0 or a[-1] % lb or (a[0] % b[0] if b[0] else a[0]):
+        return None
+    if not db:
+        if any(v % lb for v in a):
+            return None
+        return tuple([v // lb for v in a])
+    rem = list(a)
     q = [0] * (qn + 1)
     for k in range(qn, -1, -1):
         lead = rem[k + db]
         if lead % lb:
-            raise ArithmeticError("inexact polynomial division")
+            return None
         c = lead // lb
         q[k] = c
         if c:
-            for j, v in enumerate(b):
-                rem[k + j] -= c * v
-    if any(rem):
+            for j, v in enumerate(b, k):
+                rem[j] -= c * v
+    # every step cleared one top coefficient; only the low db can remain
+    if any(rem[:db]):
+        return None
+    return tuple(q)
+
+
+def pdivexact(a: Poly, b: Poly) -> Poly:
+    """Exact division a/b in Z[d]; raises if it does not divide."""
+    q = pquo(a, b)
+    if q is None:
         raise ArithmeticError("inexact polynomial division")
-    return pnormalize(q)
+    return q
 
 
 def pprem(a: Poly, b: Poly) -> Poly:
@@ -154,6 +184,8 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     if not b:
         return a if a[-1] > 0 else pneg(a)
     ca, cb = pcontent(a), pcontent(b)
+    if len(a) == 1 or len(b) == 1:
+        return (math.gcd(ca, cb),)
     a, b = pprimitive(a), pprimitive(b)
     if pdeg(a) < pdeg(b):
         a, b = b, a

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism, file round trips."""
 
+from variety_forge import engine, scalar
 from variety_forge.cli import main
 
 
@@ -219,3 +220,14 @@ def test_deterministic_output(capsys):
     assert first == second
     with_timing = run(capsys, "dim", "mixed-poisson", "--arity", "3")
     assert "time=" in with_timing[1]
+
+
+def test_degree_ceiling_on_the_elimination_path(capsys, monkeypatch):
+    # generic TDP(5) reaches d-degree 16 inside RowBasis elimination, so a
+    # ceiling of 8 must stop it there with the arithmetic-limit exit code
+    monkeypatch.setattr(scalar, "_DEGREE_LIMIT", 8)
+    engine.clear_cache()
+    code, _, err = run(capsys, "dim", "transposed-delta-poisson", "--arity", "5",
+                       "--no-timing")
+    assert code == 3
+    assert err.startswith("error: polynomial degree")

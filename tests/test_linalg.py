@@ -1,13 +1,17 @@
 """Sparse exact row reduction over Q and Q(d): rank, nullspace, membership."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from variety_forge.catalog import variety
+from variety_forge.engine import consequences
 from variety_forge.linalg import (PolyDomain, RowBasis, ZZDomain, nullspace, rank,
                                   sampled_delta_points, to_row)
-from variety_forge.scalar import DELTA, RationalFunction, padd, pnormalize, pscale
+from variety_forge.scalar import (DELTA, PONE, RationalFunction, padd, pmul, pneg,
+                                  pnormalize, pscale)
 
 from conftest import dense_rref, seeded
 
@@ -297,3 +301,56 @@ def test_sampled_points_avoid_degenerate_values():
     assert banned.isdisjoint(pts)
     assert len(set(pts)) == 8
     assert pts == sampled_delta_points(8)  # deterministic
+
+
+# -- PolyDomain.cancel: any common factor, never a wrong one -----------------
+
+poly_factors = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(pnormalize).filter(bool)
+
+
+def _check_cancel(A, B):
+    a, b = PolyDomain.cancel(A, B)
+    assert a and b
+    assert pmul(a, B) == pmul(b, A)
+    return a, b
+
+
+@given(poly_factors, poly_factors, poly_factors)
+def test_cancel_contract(f, g, h):
+    if f[-1] < 0:
+        f = pneg(f)  # a stored pivot, as _eliminate passes it
+    assert _check_cancel(f, f) == (PONE, PONE)                  # equal
+    assert _check_cancel(f, pneg(f)) == (PONE, pneg(PONE))      # negated
+    assert _check_cancel(f, pmul(f, g)) == (PONE, g)            # f divides
+    _check_cancel(pmul(f, g), f)                                # divides f
+    _check_cancel(f, g)                                         # coprime or not
+    A, B = pmul(f, h), pmul(g, pmul(h, h))                      # shared h
+    a, b = _check_cancel(A, B)
+    # whatever factor is split off, it has at least the degree of h
+    assert len(a) + len(b) <= len(A) + len(B) - 2 * (len(h) - 1)
+
+
+def test_cancel_examples():
+    assert _check_cancel((6,), (-4,)) == ((3,), (-2,))
+    assert _check_cancel((1, 1), (2, 1)) == ((1, 1), (2, 1))    # coprime
+    # (1+d)(2+d) against (1+d)(3+d): the split goes through the gcd 1+d
+    assert _check_cancel((2, 3, 1), (3, 4, 1)) == ((2, 1), (3, 1))
+
+
+# sha256 of repr(consequences(v, 5).basis.canonical_rows()) for the generic-d
+# families: a cheaper Z[d] kernel or cancel must leave these canonical spaces
+# identical, not only their dimensions
+GENERIC_ARITY5_DIGESTS = {
+    "delta-poisson": "bdf9f5713f9e32d989bab7b9dee170cae8dd41623b54528923be97229c0a55ba",
+    "transposed-delta-poisson":
+        "2a42a783d726388792a4da7e47aed8c44941701c4196fc7d470aa754bc84c9dc",
+    "delta-mixed-poisson": "fd7ad41ac26fe3ddbf64484206808dfe788808c806ee33a94cd75de746d32f1a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ARITY5_DIGESTS))
+def test_generic_arity5_spaces_are_pinned(name):
+    basis = consequences(variety(name), 5).basis
+    assert basis.domain is PolyDomain
+    digest = hashlib.sha256(repr(basis.canonical_rows()).encode()).hexdigest()
+    assert digest == GENERIC_ARITY5_DIGESTS[name]

@@ -68,14 +68,14 @@ def test_block_basis_order():
 
 
 def test_self_duality_of_the_linkage_family():
-    dp = presentation("delta-poisson")
     for q in (F(-1), F(1, 2), F(2)):
-        dual = koszul_dual(dp.with_delta(q))
-        assert equivalent(dual.variety(), variety("delta-poisson", delta=q), 3)
-    tp = presentation("transposed-delta-poisson")
+        dp = variety("delta-poisson", delta=q)
+        dual = koszul_dual(presentation_of_variety(dp))
+        assert equivalent(dual.variety(), dp, 3)
     for q in (F(-1), F(1, 2), F(2)):
-        dual = koszul_dual(tp.with_delta(q))
-        assert equivalent(dual.variety(), variety("transposed-delta-poisson", delta=q), 3)
+        tp = variety("transposed-delta-poisson", delta=q)
+        dual = koszul_dual(presentation_of_variety(tp))
+        assert equivalent(dual.variety(), tp, 3)
 
 
 def test_mixed_poisson_dual_is_pure():
@@ -110,17 +110,15 @@ def test_biduality_of_two_operation_presentations():
     for name in ("mixed-poisson", "com-lie"):
         p = presentation(name)
         assert equivalent(koszul_dual(koszul_dual(p)).variety(), p.variety(), 3)
-    ap = presentation("delta-poisson").with_delta(F(-1))
+    ap = presentation("anti-poisson")
     assert equivalent(koszul_dual(koszul_dual(ap)).variety(), ap.variety(), 3)
 
 
 def test_dimension_duality_at_arity_three():
     from variety_forge.engine import consequences
-    for name, q in (("delta-poisson", F(-1)), ("mixed-poisson", None),
-                    ("com-lie", None), ("transposed-delta-poisson", F(2))):
-        p = presentation(name)
-        if q is not None:
-            p = p.with_delta(q)
+    for p in (presentation("anti-poisson"), presentation("mixed-poisson"),
+              presentation("com-lie"),
+              presentation_of_variety(variety("transposed-delta-poisson", delta=F(2)))):
         dual = koszul_dual(p)
         r1 = consequences(p.variety(), 3).rank
         r2 = consequences(dual.variety(), 3).rank

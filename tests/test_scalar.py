@@ -1,14 +1,16 @@
 """Exact arithmetic in Q(d): canonical forms, evaluation, parsing."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from variety_forge import scalar
 from variety_forge.exprs import parse_scalar
 from variety_forge.scalar import (DELTA, DegreeOverflowError, PoleError,
-                                  RationalFunction, pgcd, pdivexact, pmul, pstr)
+                                  RationalFunction, padd, pgcd, pdivexact, pmul,
+                                  pneg, pquo, psub, pstr)
 
 from conftest import random_rational_function, seeded
 
@@ -99,6 +101,106 @@ def test_poly_gcd_divexact():
     g = pgcd(a, b)
     assert g == (1, 1)
     assert pdivexact(a, g) == (2, 0, 1)
+
+
+# -- Z[d] kernels against a schoolbook reference ----------------------------
+
+def _ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+CONSTANTS = [(), (1,), (-1,), (2,), (-3,), (12,)]
+polys = st.one_of(
+    st.sampled_from(CONSTANTS),
+    st.lists(st.integers(-30, 30), max_size=7).map(_ref_trim))
+nonzero_polys = polys.filter(bool)
+
+
+@given(polys, polys)
+def test_kernels_match_schoolbook(a, b):
+    assert pmul(a, b) == _ref_mul(a, b)
+    assert padd(a, b) == _ref_add(a, b)
+    assert psub(a, b) == _ref_add(a, b, -1)
+    assert pneg(a) == _ref_add((), a, -1)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+       st.lists(st.integers(-30, 30), min_size=1, max_size=6), st.integers(1, 5))
+def test_equal_length_sums_cancel_their_top_terms(low_a, low_b, top):
+    # a and b share a length and opposite top coefficients, so the sum
+    # (and a minus -b) loses its top term, maybe more
+    n = min(len(low_a), len(low_b))
+    a = tuple(low_a[:n]) + (top,)
+    b = tuple(low_b[:n]) + (-top,)
+    assert padd(a, b) == _ref_add(a, b)
+    assert psub(a, pneg(b)) == _ref_add(a, b)
+    assert len(padd(a, b)) <= n
+    assert padd(a, pneg(a)) == psub(a, a) == ()
+
+
+@given(nonzero_polys, nonzero_polys)
+def test_pquo_recovers_an_exact_quotient(q, b):
+    a = pmul(q, b)
+    got = pquo(a, b)
+    assert got == q and pmul(got, b) == a
+    assert pquo((), b) == ()
+
+
+@given(polys, nonzero_polys)
+def test_pquo_is_exact_or_none(a, b):
+    got = pquo(a, b)
+    if got is not None:
+        assert pmul(got, b) == a
+
+
+@given(polys, st.lists(st.integers(-30, 30), min_size=1, max_size=5),
+       st.integers(1, 30), st.lists(st.integers(-30, 30), min_size=1, max_size=5))
+def test_pquo_rejects_a_nonzero_remainder(q, low, lead, rem):
+    b = tuple(low) + (lead,)           # degree >= 1
+    r = _ref_trim(rem[:len(low)])      # degree < deg b
+    assume(r)
+    a = padd(pmul(q, b), r)
+    assert pquo(a, b) is None
+    with pytest.raises(ArithmeticError):
+        pdivexact(a, b)
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+def test_pgcd_divides_and_keeps_common_factors(a, b, h):
+    g = pgcd(pmul(a, h), pmul(b, h))
+    assert g[-1] > 0
+    assert pquo(pmul(a, h), g) is not None and pquo(pmul(b, h), g) is not None
+    assert pquo(g, h) is not None or pquo(g, pneg(h)) is not None
+    if len(a) == 1:
+        assert pgcd(a, b) == (math.gcd(a[0], *b),)
+
+
+def test_pquo_integer_non_divisibility():
+    assert pquo((2, 2), (4,)) is None
+    assert pquo((4, 8), (4,)) == (1, 2)
+    assert pquo((2, 2), (2, 4)) is None       # same degree, quotient not integral
+    assert pquo((3, 1), (0, 1)) is None       # d does not divide 3 + d
+    with pytest.raises(ArithmeticError):
+        pdivexact((2, 2), (4,))
+    with pytest.raises(ZeroDivisionError):
+        pquo((1,), ())
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
