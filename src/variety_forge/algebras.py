@@ -22,7 +22,7 @@ import os
 from fractions import Fraction
 
 from .linalg import RowBasis, ZZDomain, rank, to_row
-from .terms import BRACKET, DOT, Element, OpSymbol, TermError, ops_table
+from .terms import BRACKET, DOT, PLAIN, Element, OpSymbol, TermError, ops_table
 
 _F = Fraction
 
@@ -299,28 +299,19 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
     def pair(i, j):
         return i * b.dim + j
 
-    dot_table = {}
-    br_table = {}
-    for (i1, i2), da in a.tables["dot"].items():
-        for (j1, j2), db in b.tables["dot"].items():
-            comps = {}
-            for k, ca in da.items():
-                for l, cb in db.items():
-                    comps[pair(k, l)] = comps.get(pair(k, l), _F(0)) + ca * cb
-            _merge(dot_table, (pair(i1, j1), pair(i2, j2)), comps)
-    for left_name, right_name in (("bracket", "dot"), ("dot", "bracket")):
-        for (i1, i2), ta in a.tables[left_name].items():
-            for (j1, j2), tb in b.tables[right_name].items():
+    tables = {"dot": {}, "bracket": {}}
+    for left, right, target in (("dot", "dot", "dot"), ("bracket", "dot", "bracket"),
+                                ("dot", "bracket", "bracket")):
+        out = tables[target]
+        for (i1, i2), ta in a.tables[left].items():
+            for (j1, j2), tb in b.tables[right].items():
                 comps = {}
                 for k, ca in ta.items():
                     for l, cb in tb.items():
                         comps[pair(k, l)] = comps.get(pair(k, l), _F(0)) + ca * cb
-                _merge(br_table, (pair(i1, j1), pair(i2, j2)), comps)
-    products = []
-    for (i, j), comps in dot_table.items():
-        products.append(("dot", i + 1, j + 1, {k + 1: c for k, c in comps.items()}))
-    for (i, j), comps in br_table.items():
-        products.append(("bracket", i + 1, j + 1, {k + 1: c for k, c in comps.items()}))
+                _merge(out, (pair(i1, j1), pair(i2, j2)), comps)
+    products = [(op_name, i + 1, j + 1, {k + 1: c for k, c in comps.items()})
+                for op_name, table in tables.items() for (i, j), comps in table.items()]
     params = {k: v for k, v in a.params.items() if b.params.get(k) == v}
     name = "%s(x)%s" % (a.name, b.name) if a.name and b.name else ""
     return Algebra(a.dim * b.dim, (DOT, BRACKET), products, params=params, name=name)
@@ -367,8 +358,8 @@ def split_polarization(a: Algebra) -> Algebra:
                    name=(a.name + "-polarized") if a.name else "")
 
 
-def merge_polarization(a: Algebra, op_name: str = "m") -> Algebra:
-    """(dot, bracket) algebra -> single operation x*y = dot(x,y)+bracket(x,y)."""
+def merge_polarization(a: Algebra) -> Algebra:
+    """(dot, bracket) algebra -> single operation m(x,y) = dot(x,y)+bracket(x,y)."""
     names = {op.name for op in a.ops}
     if not {"dot", "bracket"} <= names:
         raise AlgebraError("merge_polarization expects the {dot, bracket} signature")
@@ -377,9 +368,9 @@ def merge_polarization(a: Algebra, op_name: str = "m") -> Algebra:
         _merge(merged, key, comps)
     for key, comps in a.tables["bracket"].items():
         _merge(merged, key, comps)
-    products = [(op_name, i + 1, j + 1, {k + 1: c for k, c in comps.items()})
+    products = [(PLAIN.name, i + 1, j + 1, {k + 1: c for k, c in comps.items()})
                 for (i, j), comps in merged.items()]
-    return Algebra(a.dim, (OpSymbol(op_name, "none"),), products, params=a.params,
+    return Algebra(a.dim, (PLAIN,), products, params=a.params,
                    name=(a.name + "-depolarized") if a.name else "")
 
 
@@ -471,14 +462,10 @@ def format_algebra(a: Algebra) -> str:
         lines.append("op %s %s" % (op.name, op.symmetry))
     for op in a.ops:
         table = a.tables[op.name]
-        seen = set()
+        mirrored = a._symmetry[op.name] in ("symmetric", "antisymmetric")
         for (i, j) in sorted(table):
-            if (i, j) in seen:
-                continue
-            sym = a._symmetry[op.name]
-            if sym in ("symmetric", "antisymmetric") and i > j:
+            if mirrored and i > j:
                 continue  # mirrors are implied
-            seen.add((i, j))
             rhs = " + ".join(_coeff_basis(c, k) for k, c in sorted(table[(i, j)].items()))
             lines.append("%s e%d e%d = %s" % (op.name, i + 1, j + 1, rhs))
     return "\n".join(lines) + "\n"

@@ -71,6 +71,18 @@ def _expect(args, answer: bool) -> int:
     return EXIT_OK
 
 
+def _write_algebra(args, a: Algebra) -> int:
+    """Write a to the -o path, or print it when none is given."""
+    text = format_algebra(a)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print("written=%s dim=%d" % (args.output, a.dim))
+    else:
+        print(text, end="")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -129,15 +141,7 @@ def cmd_check(args):
 def cmd_tensor(args):
     a = _resolve_algebra(args.algebra1)
     b = _resolve_algebra(args.algebra2)
-    out = tensor(a, b)
-    text = format_algebra(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print("written=%s dim=%d" % (args.output, out.dim))
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _write_algebra(args, tensor(a, b))
 
 
 def cmd_depolarize(args):
@@ -149,14 +153,7 @@ def cmd_depolarize(args):
         out = split_polarization(a)
     else:
         raise _InputError("expected a {dot,bracket} algebra or a one-operation algebra")
-    text = format_algebra(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print("written=%s dim=%d" % (args.output, out.dim))
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _write_algebra(args, out)
 
 
 def cmd_dual(args):
@@ -304,10 +301,7 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         code = args.func(args)
-    except ArityOverflowError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_RESOURCE
-    except DegreeOverflowError as exc:
+    except (ArityOverflowError, DegreeOverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:

@@ -9,8 +9,8 @@ row span under the two group generators (1 2) and (1 2 ... n), which spans the
 same space as inserting every one of the n! images.
 
 Rows live over Q when the variety carries no free parameter (or d is
-specialized to a rational), and over Q(d) otherwise; see linalg for the
-fraction-free representation.
+specialized to a rational), and over Q(d) otherwise: ``Variety.domain`` makes
+that choice once.  See linalg for the fraction-free representation.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from fractions import Fraction
 from .exprs import format_element, parse_expr
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
-from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, Element, OpSymbol,
+from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, PLAIN, Element, OpSymbol,
                     Permutation, TermError, depolarize_expr, enumerate_coded,
                     ops_table)
 
 # arity 7 is out of reach in either mode: building its context alone takes
 # about 9 s and 480 MB, before any row is inserted
-DEFAULT_MAX_ARITY = 6
+MAX_ARITY = 6
 
 
 class EngineError(ValueError):
@@ -36,14 +36,7 @@ class EngineError(ValueError):
 
 
 class ArityOverflowError(EngineError):
-    """Requested arity exceeds the configured resource guard."""
-
-
-def max_arity() -> int:
-    env = os.environ.get("VARIETY_FORGE_MAX_ARITY")
-    if env:
-        return int(env)
-    return DEFAULT_MAX_ARITY
+    """Requested arity exceeds the resource guard MAX_ARITY."""
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +46,9 @@ class Variety:
     """Operation symbols plus a finite list of multilinear identities.
 
     ``delta`` is None for generic-d computations, or a Fraction to specialize
-    every coefficient before any linear algebra.  ``cache_key`` identifies the
+    every coefficient before any linear algebra.  ``domain`` is the row domain
+    of every consequence space: PolyDomain iff d is generic and some
+    coefficient depends on it, else ZZDomain.  ``cache_key`` identifies the
     consequence spaces: the signature, the set of identities and delta.
     """
 
@@ -69,6 +64,8 @@ class Variety:
             missing = e.op_names() - set(table)
             if missing:
                 raise EngineError("identity uses undeclared operations %s" % sorted(missing))
+        self.domain = (PolyDomain if self.delta is None and self.uses_delta()
+                       else ZZDomain)
         self.cache_key = (self.signature(), frozenset(self.identities), self.delta)
 
     def with_delta(self, q) -> "Variety":
@@ -79,11 +76,7 @@ class Variety:
                        name=self.name)
 
     def uses_delta(self) -> bool:
-        for e in self.identities:
-            for c in e.terms.values():
-                if pdeg(c.num) > 0 or pdeg(c.den) > 0:
-                    return True
-        return False
+        return any(not c.is_constant() for e in self.identities for c in e.terms.values())
 
     def signature(self):
         return tuple(sorted((op.name, op.symmetry) for op in self.ops))
@@ -279,18 +272,15 @@ def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
         raise EngineError("unknown mode %r" % mode)
     if n < 1:
         raise EngineError("arity must be positive")
-    guard = max_arity()
-    if n > guard:
+    if n > MAX_ARITY:
         raise ArityOverflowError(
-            "arity %d exceeds the configured guard %d "
-            "(set VARIETY_FORGE_MAX_ARITY to override)" % (n, guard))
+            "arity %d exceeds the guard %d: the direct path cannot reach it "
+            "in practice" % (n, MAX_ARITY))
     key = (v.cache_key, n)
     space = _SPACE_CACHE.get(key)
     if space is None:
-        domain = PolyDomain if (v.delta is None and v.uses_delta()) else ZZDomain
-        basis = _build_basis(v, n, v.delta, domain)
         space = _SPACE_CACHE[key] = ConsequenceSpace(
-            v, n, get_context(v.ops, n).monomials, basis)
+            v, n, get_context(v.ops, n).monomials, _build_basis(v, n))
     return space
 
 
@@ -302,7 +292,7 @@ def _sampled_spaces(varieties, n):
     root of some minor (Schwartz-Zippel).  Varieties without a generic d are
     returned as their exact spaces.
     """
-    generic = [v.delta is None and v.uses_delta() for v in varieties]
+    generic = [v.domain is PolyDomain for v in varieties]
     if not any(generic):
         return tuple(consequences(v, n) for v in varieties)
     best = None
@@ -319,7 +309,8 @@ def _sampled_spaces(varieties, n):
     return best
 
 
-def _build_basis(v: Variety, n: int, delta, domain) -> RowBasis:
+def _build_basis(v: Variety, n: int) -> RowBasis:
+    domain = v.domain
     by_arity = {}
     for e in v.identities:
         by_arity.setdefault(e.arity, []).append(e)
@@ -335,7 +326,7 @@ def _build_basis(v: Variety, n: int, delta, domain) -> RowBasis:
         ctx = get_context(v.ops, m)
         basis = RowBasis(len(ctx.monomials), domain)
         queue = []
-        candidates = [element_to_row(e, ctx, delta, domain)
+        candidates = [element_to_row(e, ctx, v.delta, domain)
                       for e in by_arity.get(m, [])]
         if prev_basis is not None and prev_basis.rank:
             for table in prev_ctx.lift_tables(ctx):
@@ -414,14 +405,13 @@ def equivalent(v1: Variety, v2: Variety, n: int, mode: str = "exact") -> bool:
 # ---------------------------------------------------------------------------
 # polarization at the variety level
 
-def depolarize_variety(v: Variety, plain_name: str = "m") -> Variety:
-    """One-operation variety whose identities are the depolarized ones."""
-    plain = OpSymbol(plain_name, "none")
+def depolarize_variety(v: Variety) -> Variety:
+    """One-operation variety over ``m`` whose identities are the depolarized ones."""
     dot = next((op for op in v.ops if op.symmetry == "symmetric"), DOT)
     bracket = next((op for op in v.ops if op.symmetry == "antisymmetric"), BRACKET)
-    idents = [depolarize_expr(e, dot, bracket, plain) for e in v.identities]
+    idents = [depolarize_expr(e, dot, bracket) for e in v.identities]
     idents = [e for e in idents if not e.is_zero()]
-    return Variety((plain,), idents, delta=v.delta,
+    return Variety((PLAIN,), idents, delta=v.delta,
                    name=(v.name + "-depolarized") if v.name else "depolarized")
 
 
@@ -483,7 +473,7 @@ def format_variety(v: Variety) -> str:
         lines.append("op %s %s" % (op.name, op.symmetry))
     if v.delta is not None:
         lines.append("param delta = %s" % v.delta)
-    elif v.uses_delta():
+    elif v.domain is PolyDomain:
         lines.append("param delta")
     for e in v.identities:
         lines.append("identity: %s" % format_element(e))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .scalar import (DELTA, PONE, RF_ONE, RationalFunction, join_signed, pconst,
                      pstr, signed_term)
-from .terms import Element, TermError, multilinearize, normalize_tree, ops_table
+from .terms import Element, TermError, normalize_tree, ops_table
 
 
 class ExprSyntaxError(ValueError):
@@ -181,45 +181,28 @@ def parse_scalar(text: str) -> RationalFunction:
     return value
 
 
-def parse_expr(text: str, ops, allow_multilinearize: bool = False,
-               arity: int | None = None) -> Element:
-    """Parse an identity expression into a normalized Element.
+def parse_expr(text: str, ops) -> Element:
+    """Parse a multilinear identity expression into a normalized Element.
 
-    Non-multilinear input raises unless ``allow_multilinearize`` is set, in
-    which case the full polarization is returned (it must consist of a single
-    multihomogeneous component).
+    Non-multilinear input raises TermError; ``terms.multilinearize`` polarizes
+    it fully.
     """
     table = ops_table(ops)
     parser = _Parser(text, table)
     raw = parser.parse_sum(raw=True)
     parser.finish()
-    if not raw:
-        return Element(arity if arity is not None else 0)
-    try:
-        # one Element per arity, so that terms of different arities may cancel
-        by_arity = {}
-        for tree, coeff in raw:
-            sign, mono = normalize_tree(tree, table)
-            acc = by_arity.get(mono.arity)
-            if acc is None:
-                acc = by_arity[mono.arity] = Element(mono.arity)
-            acc._add(mono, coeff if sign == 1 else -coeff)
-        nonzero = [acc for acc in by_arity.values() if not acc.is_zero()]
-        if len(nonzero) > 1:
-            raise TermError("terms of different arities remain after cancellation")
-        out = nonzero[0] if nonzero else Element(arity or 0)
-    except TermError:
-        if not allow_multilinearize:
-            raise
-        family = multilinearize(raw, ops)
-        if len(family) != 1:
-            raise TermError(
-                "expression has %d multihomogeneous components; "
-                "call multilinearize directly" % len(family))
-        out = family[0]
-    if arity is not None and out.arity != arity and not out.is_zero():
-        raise TermError("expected arity %d, got %d" % (arity, out.arity))
-    return out
+    # one Element per arity, so that terms of different arities may cancel
+    by_arity = {}
+    for tree, coeff in raw:
+        sign, mono = normalize_tree(tree, table)
+        acc = by_arity.get(mono.arity)
+        if acc is None:
+            acc = by_arity[mono.arity] = Element(mono.arity)
+        acc._add(mono, coeff if sign == 1 else -coeff)
+    nonzero = [acc for acc in by_arity.values() if not acc.is_zero()]
+    if len(nonzero) > 1:
+        raise TermError("terms of different arities remain after cancellation")
+    return nonzero[0] if nonzero else Element(0)
 
 
 # ---------------------------------------------------------------------------

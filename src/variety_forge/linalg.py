@@ -4,10 +4,7 @@ Rows are dicts column -> entry.  Entries live in an integral domain: plain
 ints for rational problems, integer-coefficient polynomial tuples for
 generic-d problems.  Elimination is fraction-free: cross-multiplication by
 the two pivots divided by a common factor (``cancel`` may split by any common
-factor, not only the gcd), followed by content reduction.  Canonical form
-comes from ``reduce_row_full`` in ``insert`` and ``finalize``, so the reduced
-rows are the field RREF rescaled to a primitive integral form whichever
-factor each step cancelled.
+factor, not only the gcd), followed by content reduction.
 
 ``to_row`` is the one conversion from field values (ints, Fractions,
 RationalFunctions) to such a domain row: it clears every denominator.  The
@@ -15,9 +12,20 @@ RowBasis methods take domain rows only, and RowBasis is the one rank.
 
 RowBasis maintains the fully reduced form at all times: pivots are the
 leading (smallest) columns, every stored row vanishes at every other row's
-pivot, and each row is content-free with a positive (leading coefficient of
-the) pivot entry.  That representation is canonical for the row space, which
-is what makes span comparison a structural equality.
+pivot, and ``RowBasis._orient`` keeps the (leading coefficient of the) pivot
+entry positive.  Content is divided out at two strengths:
+
+- the lazy ``reduce_row`` during elimination and back-substitution (over
+  Z[d] the integer content, and the polynomial content only once some
+  degree passes ``PolyDomain.lazy_degree``);
+- the full ``reduce_row_full`` on the new row in ``insert`` and on every row
+  in ``finalize``.  Over Z the integer content is the full content, so the
+  two coincide.
+
+So after ``finalize`` the rows are the field RREF rescaled to a primitive
+integral form, whichever factor each step cancelled.  That representation is
+canonical for the row space, which is what makes span comparison a
+structural equality.
 
 Beside the rows, RowBasis keeps an occurrence index: for each non-pivot
 column, a list of pivots whose rows may hold an entry there.  It is a
@@ -39,7 +47,6 @@ from .scalar import (PONE, RationalFunction, pcontent, pdeg, pdivexact,
 class ZZDomain:
     """Entries are ints; content reduction is a plain gcd."""
 
-    name = "Q"
     one = 1
 
     @staticmethod
@@ -75,13 +82,11 @@ class ZZDomain:
                 row[c] //= g
         return row
 
+    reduce_row_full = reduce_row  # the integer content is the full content
+
     @staticmethod
     def positive(entry):
         return entry > 0
-
-    @staticmethod
-    def needs_reduction(row):
-        return False
 
     @staticmethod
     def field_div(a, b):
@@ -91,7 +96,6 @@ class ZZDomain:
 class PolyDomain:
     """Entries are integer-coefficient polynomials in d (ascending tuples)."""
 
-    name = "Q(d)"
     one = PONE
     lazy_degree = 16  # full polynomial content reduction above this degree
 
@@ -116,7 +120,7 @@ class PolyDomain:
         g is the integer gcd when both are constants.  Otherwise it is a or b
         when one divides the other, and the PRS gcd only when neither does,
         so cancel may split by a common factor that is not the gcd.
-        Elimination needs no more: canonical form comes from reduce_row_full
+        Elimination needs no more: the normal form comes from reduce_row_full
         in insert and finalize.  As with the gcd, the first entry is PONE
         when a has a positive leading coefficient and divides b, so
         _eliminate skips scaling r.
@@ -168,10 +172,6 @@ class PolyDomain:
     @staticmethod
     def positive(entry):
         return entry[-1] > 0
-
-    @staticmethod
-    def needs_reduction(row):
-        return True
 
     @staticmethod
     def field_div(a, b):
@@ -284,32 +284,30 @@ class RowBasis:
     def contains(self, row) -> bool:
         return not self.reduce(row)
 
+    def _orient(self, row, pivot):
+        """Negate row in place unless its pivot entry is positive."""
+        dom = self.domain
+        if not dom.positive(row[pivot]):
+            neg = dom.neg
+            for c in row:
+                row[c] = neg(row[c])
+        return row
+
     def insert(self, row):
         """Grow the span by row; True iff row was outside the previous span."""
         r = self._reduce(row)
         if not r:
             return False
         dom = self.domain
-        dom.reduce_row(r)
-        if dom.needs_reduction(r):
-            dom.reduce_row_full(r)
         p = min(r)
-        if not dom.positive(r[p]):
-            neg = dom.neg
-            for c in r:
-                r[c] = neg(r[c])
+        self._orient(dom.reduce_row_full(r), p)
         # back-substitute the new pivot out of the older rows that hold it
         rows, occ = self.rows, self.occ
         for q in occ.pop(p, ()):
             s = rows[q]
             if p not in s:
                 continue
-            s2 = self._eliminate(s, r, p)
-            dom.reduce_row(s2)
-            if not dom.positive(s2[q]):
-                neg = dom.neg
-                for c in s2:
-                    s2[c] = neg(s2[c])
+            s2 = self._orient(dom.reduce_row(self._eliminate(s, r, p)), q)
             for c in s2:
                 if c not in s:
                     occ.setdefault(c, []).append(q)
@@ -322,13 +320,8 @@ class RowBasis:
 
     def finalize(self):
         """Bring every row to its canonical primitive form."""
-        dom = self.domain
-        if dom.needs_reduction({}):
-            for q, s in self.rows.items():
-                dom.reduce_row_full(s)
-                if not dom.positive(s[q]):
-                    neg = dom.neg
-                    self.rows[q] = {c: neg(v) for c, v in s.items()}
+        for q, s in self.rows.items():
+            self._orient(self.domain.reduce_row_full(s), q)
         return self
 
     def canonical_rows(self):
@@ -366,22 +359,17 @@ def nullspace(rows, ncols: int, domain=ZZDomain) -> RowBasis:
     basis = RowBasis(ncols, domain)
     for r in rows:
         basis.insert(r)
-    return kernel_of_basis(basis)
-
-
-def kernel_of_basis(basis: RowBasis) -> RowBasis:
-    dom = basis.domain
     pivots = basis.pivots()
-    pivot_set = set(pivots)
-    free = [c for c in range(basis.ncols) if c not in pivot_set]
-    out = RowBasis(basis.ncols, dom)
-    for f in free:
+    out = RowBasis(ncols, domain)
+    for f in range(ncols):
+        if f in basis.rows:
+            continue
         entries = {f: 1}
         for p in pivots:
             row = basis.rows[p]
             if f in row:
-                entries[p] = -dom.field_div(row[f], row[p])
-        out.insert(to_row(entries, dom))
+                entries[p] = -domain.field_div(row[f], row[p])
+        out.insert(to_row(entries, domain))
     return out
 
 

@@ -54,9 +54,6 @@ class QuadraticPresentation:
         return Variety(self.generators, self.relations, delta=self.delta,
                        name=self.name)
 
-    def uses_delta(self):
-        return self.variety().uses_delta()
-
     def __repr__(self):
         return "QuadraticPresentation(%s, %d relations)" % (
             self.name or "?", len(self.relations))

@@ -571,30 +571,28 @@ def _relabel_occurrences(tree, assign, counter=None):
 # ---------------------------------------------------------------------------
 # polarization and depolarization of expressions
 
-def polarize_expr(e: Element, plain_op=None, dot=DOT, bracket=BRACKET) -> Element:
+def polarize_expr(e: Element) -> Element:
     """Rewrite a one-operation element over {dot, bracket}: ab -> a o b + [a,b]."""
     names = e.op_names()
-    if plain_op is None:
-        if len(names) > 1:
-            raise TermError("polarize_expr expects a single operation, got %s" % sorted(names))
-        plain = names.pop() if names else PLAIN.name
-    else:
-        plain = plain_op.name
-    rules = {plain: ((dot.name, False, 1), (bracket.name, False, 1))}
-    return _collect(e.arity, _expand_terms(e, rules), ops_table((dot, bracket)))
+    if len(names) > 1:
+        raise TermError("polarize_expr expects a single operation, got %s" % sorted(names))
+    plain = names.pop() if names else PLAIN.name
+    rules = {plain: ((DOT.name, False, 1), (BRACKET.name, False, 1))}
+    return _collect(e.arity, _expand_terms(e, rules), ops_table((DOT, BRACKET)))
 
 
-def depolarize_expr(e: Element, dot=DOT, bracket=BRACKET, plain_op=PLAIN) -> Element:
-    """Expand dot/bracket into the free one-operation space.
+def depolarize_expr(e: Element, dot=DOT, bracket=BRACKET) -> Element:
+    """Expand dot/bracket into the free one-operation space over ``m``.
 
     dot(a,b) -> (ab+ba)/2 and bracket(a,b) -> (ab-ba)/2, exactly.
     """
     if not e.op_names() <= {dot.name, bracket.name}:
         raise TermError("element uses operations outside {%s, %s}" % (dot.name, bracket.name))
     half = Fraction(1, 2)
-    rules = {dot.name: ((plain_op.name, False, half), (plain_op.name, True, half)),
-             bracket.name: ((plain_op.name, False, half), (plain_op.name, True, -half))}
-    return _collect(e.arity, _expand_terms(e, rules), ops_table((plain_op,)))
+    m = PLAIN.name
+    rules = {dot.name: ((m, False, half), (m, True, half)),
+             bracket.name: ((m, False, half), (m, True, -half))}
+    return _collect(e.arity, _expand_terms(e, rules), ops_table((PLAIN,)))
 
 
 def _expand_terms(e, rules):

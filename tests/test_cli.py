@@ -149,12 +149,11 @@ def test_sampled_mode(capsys):
     assert code == 0 and out == "equivalent=yes\nprobabilistic=yes\n"
 
 
-def test_exit_codes(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("VARIETY_FORGE_MAX_ARITY", raising=False)
+def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "dim", "no-such-thing", "--arity", "3", "--no-timing")
     assert code == 2 and "no such file or catalog variety" in err
     code, _, err = run(capsys, "dim", "delta-poisson", "--arity", "9", "--no-timing")
-    assert code == 3 and "guard" in err
+    assert code == 3 and "guard" in err and "override" not in err
     code, _, err = run(capsys, "dim", "delta-poisson", "--arity", "7",
                        "--mode", "sampled", "--no-timing")
     assert code == 3 and "guard" in err

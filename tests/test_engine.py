@@ -7,6 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from variety_forge import engine
 from variety_forge.catalog import algebra, identity, one_op_variety, variety
 from variety_forge.engine import (ArityOverflowError, EngineError,
                                   MonomialContext, Variety, clear_cache,
@@ -14,7 +15,7 @@ from variety_forge.engine import (ArityOverflowError, EngineError,
                                   dim_multilinear, equivalent, format_variety,
                                   get_context, is_consequence,
                                   parse_variety_text, row_to_element)
-from variety_forge.linalg import sampled_delta_points
+from variety_forge.linalg import PolyDomain, ZZDomain, sampled_delta_points
 from variety_forge.scalar import DELTA
 from variety_forge.terms import (Permutation, act, act_monomial, normalize_tree,
                                  substitute_tree)
@@ -92,9 +93,9 @@ def test_equivalence_requires_same_signature():
 
 def test_delta_specialization_modes():
     dp = variety("delta-poisson")
-    assert dp.delta is None and dp.uses_delta()
+    assert dp.delta is None and dp.domain is PolyDomain
     specialized = dp.with_delta(F(2))
-    assert specialized.delta == 2
+    assert specialized.delta == 2 and specialized.domain is ZZDomain
     assert dim_multilinear(specialized, 4) == 12
 
 
@@ -120,7 +121,7 @@ def test_sampled_membership_agrees_with_exact(name):
     # sampled span; the criterion-9 targets across all three varieties give
     # both answers (idtp1 is no on delta-poisson, xyzt-1 on the transposed one)
     v = variety(name)
-    assert v.delta is None and v.uses_delta()
+    assert v.delta is None and v.domain is PolyDomain
     for i, e in enumerate(v.identities):
         assert is_consequence(v, e, e.arity, mode="sampled"), (name, i)
     answers = set()
@@ -161,13 +162,12 @@ def test_sampled_equivalence_shares_one_point():
 
 
 def test_arity_guard(monkeypatch):
-    monkeypatch.delenv("VARIETY_FORGE_MAX_ARITY", raising=False)
-    with pytest.raises(ArityOverflowError):
+    with pytest.raises(ArityOverflowError, match="guard 6"):
         dim_multilinear(variety("delta-poisson"), 7)
     # one guard for both modes: sampled mode promises no more than exact
     with pytest.raises(ArityOverflowError):
         dim_multilinear(variety("delta-poisson"), 7, mode="sampled")
-    monkeypatch.setenv("VARIETY_FORGE_MAX_ARITY", "3")
+    monkeypatch.setattr(engine, "MAX_ARITY", 3)
     with pytest.raises(ArityOverflowError):
         dim_multilinear(variety("delta-poisson"), 4)
 
@@ -238,7 +238,7 @@ def test_variety_file_roundtrip(tmp_path):
     assert back.delta == F(-1)
     assert equivalent(back, v, 3)
     generic = parse_variety_text(format_variety(variety("delta-poisson")))
-    assert generic.delta is None and generic.uses_delta()
+    assert generic.delta is None and generic.domain is PolyDomain
 
 
 def test_variety_file_errors():

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from variety_forge.exprs import (ExprSyntaxError, format_element, parse_expr,
                                  parse_scalar)
-from variety_forge.terms import TermError
+from variety_forge.scalar import RF_ONE
+from variety_forge.terms import TermError, multilinearize
 
 from conftest import ONE_OP, TWO_OPS, random_element, seeded
 
@@ -26,8 +27,10 @@ def test_parse_cancellation_to_zero():
 def test_parse_non_multilinear():
     with pytest.raises(TermError):
         parse_expr("bracket(x1,x1)", TWO_OPS)
-    assert parse_expr("bracket(x1,x1)", TWO_OPS, allow_multilinearize=True).is_zero()
-    e = parse_expr("m(x1,x1)", ONE_OP, allow_multilinearize=True)
+    # the full polarization of a repeated variable is terms.multilinearize
+    (e,) = multilinearize([(("bracket", 1, 1), RF_ONE)], TWO_OPS)
+    assert e.is_zero()
+    (e,) = multilinearize([(("m", 1, 1), RF_ONE)], ONE_OP)
     assert e == parse_expr("m(x1,x2) + m(x2,x1)", ONE_OP)
 
 
@@ -68,8 +71,11 @@ def test_coefficient_grammar():
 
 def test_zero_literal_and_arity_check():
     assert parse_expr("0", TWO_OPS).is_zero()
+    # terms of different arities may cancel, but may not remain
+    assert parse_expr("dot(x1,x2) + dot(dot(x1,x2),x3) - dot(x3,dot(x2,x1))",
+                      TWO_OPS).arity == 2
     with pytest.raises(TermError):
-        parse_expr("dot(x1,x2)", TWO_OPS, arity=3)
+        parse_expr("dot(x1,x2) + dot(dot(x1,x2),x3)", TWO_OPS)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 4), st.booleans())

@@ -9,7 +9,7 @@ from variety_forge.catalog import presentation, variety, variety_names
 from variety_forge.engine import (consequences, dim_multilinear, element_to_row,
                                   equivalent, get_context)
 from variety_forge.exprs import format_element
-from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain
+from variety_forge.linalg import RowBasis
 from variety_forge.operads import (OperadError, QuadraticPresentation, Series,
                                    _dual_signature, _leaf_sign, _swap_ops,
                                    block_basis, compose, dual_relation_matrix,
@@ -143,7 +143,7 @@ def test_relation_span_is_the_arity_three_consequence_space():
     assert len(presentations) == 21  # 8 presentations, 13 quadratic varieties
     for p in presentations:
         ctx = get_context(p.generators, 3)
-        domain = PolyDomain if p.delta is None and p.uses_delta() else ZZDomain
+        domain = p.variety().domain
         images = [act(Permutation(img), rel, p.generators)
                   for rel in p.relations for img in itertools.permutations((1, 2, 3))]
         span = RowBasis(len(ctx.monomials), domain)
