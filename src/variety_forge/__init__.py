@@ -15,9 +15,9 @@ from .engine import (ArityOverflowError, ConsequenceSpace, EngineError,
                      dim_multilinear, equivalent, is_consequence, load_variety)
 from .exprs import format_element, parse_expr, parse_scalar
 from .linalg import RowBasis, nullspace, rank
-from .operads import (FreeBasisReport, KoszulVerdict, QuadraticPresentation,
-                      Series, compose, dual_relation_matrix, free_delta_p_basis,
-                      hilbert_series, koszul_dual, koszulness_witness)
+from .operads import (FreeBasisReport, KoszulVerdict, Series, compose,
+                      dual_relation_matrix, free_delta_p_basis, hilbert_series,
+                      koszul_dual, koszulness_witness)
 from .scalar import DELTA, PoleError, RationalFunction
 from .terms import (BRACKET, DOT, Element, Monomial, OpSymbol, Permutation,
                     act, depolarize_expr, enumerate_monomials, multilinearize,

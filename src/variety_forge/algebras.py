@@ -229,10 +229,6 @@ class Algebra:
                     return subset
         return None
 
-    def simplicity_check(self):
-        """(perfect bracket, no proper basis-subset ideal) for small algebras."""
-        return self.bracket_is_perfect(), self.proper_ideal_from_basis_subsets() is None
-
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name or "?", self.dim)
 

@@ -1,5 +1,8 @@
 """Built-in catalog: named identities, varieties, algebras, presentations.
 
+A presentation is a ``Variety`` too: the binary quadratic one whose arity-3
+relations come in the order the paper prints its relation matrices.
+
 Variable conventions: displayed identities in x,y,z(,t) are entered with
 x->x1, y->x2, z->x3, t->x4; the four-variable transposed-Poisson consequences
 use (h,x,y,z)->(x1,x2,x3,x4) and (x,u,y,v)->(x1,x2,x3,x4).  Products of three
@@ -13,7 +16,6 @@ from fractions import Fraction
 from .algebras import Algebra
 from .engine import Variety
 from .exprs import parse_expr
-from .operads import QuadraticPresentation
 from .terms import BRACKET, DOT, PLAIN, Element, Permutation, act
 
 TWO_OPS = (DOT, BRACKET)
@@ -177,34 +179,27 @@ _VARIETY_SOURCES = {
     "jordan-bracket": (TWO_OPS, ("assoc", "jordan-bracket-1", "jordan-bracket-2",
                                  "jordan-bracket-3"), None),
     "com-lie": (TWO_OPS, ("assoc", "jacobi"), None),
+    "com": ((DOT,), ("assoc",), None),
+    "lie": ((BRACKET,), ("jacobi",), None),
+    "two-ops-free": (TWO_OPS, (), None),
+    "one-op-free": (ONE_OP, (), None),
     "shift-associative": (ONE_OP, ("shift-assoc",), None),
     "cyclic-associative": (ONE_OP, ("cyclic-assoc-1", "cyclic-assoc-2"), None),
 }
 
 
 def variety_names():
-    return sorted(list(_VARIETY_SOURCES) + ["com", "lie", "two-ops-free", "one-op-free"])
+    return sorted(_VARIETY_SOURCES)
 
 
 def variety(name: str, delta=None) -> Variety:
     """A named variety; delta overrides the catalog's parameter mode."""
-    if name == "com":
-        v = Variety((DOT,), (identity("assoc"),), name="com")
-    elif name == "lie":
-        v = Variety((BRACKET,), (identity("jacobi"),), name="lie")
-    elif name == "two-ops-free":
-        v = Variety(TWO_OPS, (), name="two-ops-free")
-    elif name == "one-op-free":
-        v = Variety(ONE_OP, (), name="one-op-free")
-    else:
-        try:
-            ops, idents, base_delta = _VARIETY_SOURCES[name]
-        except KeyError:
-            raise CatalogError("unknown variety %r" % name) from None
-        v = Variety(ops, tuple(identity(i) for i in idents), delta=base_delta, name=name)
-    if delta is not None:
-        v = v.with_delta(delta)
-    return v
+    try:
+        ops, idents, base_delta = _VARIETY_SOURCES[name]
+    except KeyError:
+        raise CatalogError("unknown variety %r" % name) from None
+    return Variety(ops, tuple(identity(i) for i in idents),
+                   delta=base_delta if delta is None else delta, name=name)
 
 
 def one_op_variety(identity_names_, delta=None, name="") -> Variety:
@@ -360,35 +355,35 @@ def algebra(name: str, **params):
 # ---------------------------------------------------------------------------
 # quadratic presentations carrying the fixed arity-3 relation ordering
 
-def _s3_rows(law_name, images):
-    """Identity images under the listed permutations, normalized elements."""
-    base = identity(law_name)
-    return tuple(act(Permutation(img), base, TWO_OPS) for img in images)
+_DELTA_POISSON_IMAGES = ("delta-poisson-law", ((1, 2, 3), (1, 3, 2), (3, 2, 1)))
+
+_PRESENTATION_LAWS = {
+    # name -> None for the catalog variety as it stands, or (law, images):
+    # the law's images under the listed permutations replace the variety's
+    # linkage law, after assoc and jacobi, in the printed order
+    "com": None,
+    "lie": None,
+    "com-lie": None,
+    "delta-poisson": _DELTA_POISSON_IMAGES,
+    "poisson": _DELTA_POISSON_IMAGES,
+    "anti-poisson": _DELTA_POISSON_IMAGES,
+    "transposed-delta-poisson": ("transposed-delta-poisson-law",
+                                 ((1, 2, 3), (2, 1, 3), (3, 2, 1))),
+    "mixed-poisson": ("mixed-poisson-single", ((1, 2, 3), (2, 1, 3), (3, 1, 2),
+                                               (1, 3, 2), (3, 2, 1), (2, 3, 1))),
+}
 
 
-def presentation(name: str):
+def presentation(name: str) -> Variety:
     """Named binary quadratic presentation with the printed relation order."""
-    if name in ("delta-poisson", "anti-poisson", "poisson"):
-        mixed = _s3_rows("delta-poisson-law",
-                         [(1, 2, 3), (1, 3, 2), (3, 2, 1)])
-        rels = mixed + (identity("assoc"), identity("jacobi"))
-        delta = {"delta-poisson": None, "poisson": _F(1), "anti-poisson": _F(-1)}[name]
-        return QuadraticPresentation(TWO_OPS, rels, delta=delta, name=name)
-    if name == "transposed-delta-poisson":
-        mixed = _s3_rows("transposed-delta-poisson-law",
-                         [(1, 2, 3), (2, 1, 3), (3, 2, 1)])
-        rels = mixed + (identity("assoc"), identity("jacobi"))
-        return QuadraticPresentation(TWO_OPS, rels, name=name)
-    if name == "mixed-poisson":
-        mixed = _s3_rows("mixed-poisson-single",
-                         [(1, 2, 3), (2, 1, 3), (3, 1, 2), (1, 3, 2), (3, 2, 1), (2, 3, 1)])
-        rels = mixed + (identity("assoc"), identity("jacobi"))
-        return QuadraticPresentation(TWO_OPS, rels, name=name)
-    if name == "com":
-        return QuadraticPresentation((DOT,), (identity("assoc"),), name="com")
-    if name == "lie":
-        return QuadraticPresentation((BRACKET,), (identity("jacobi"),), name="lie")
-    if name == "com-lie":
-        return QuadraticPresentation(TWO_OPS, (identity("assoc"), identity("jacobi")),
-                                     name="com-lie")
-    raise CatalogError("unknown presentation %r" % name)
+    try:
+        linkage = _PRESENTATION_LAWS[name]
+    except KeyError:
+        raise CatalogError("unknown presentation %r" % name) from None
+    v = variety(name)
+    if linkage is None:
+        return v
+    law, images = linkage
+    mixed = tuple(act(Permutation(img), identity(law), TWO_OPS) for img in images)
+    return Variety(v.ops, (identity("assoc"), identity("jacobi")) + mixed,
+                   delta=v.delta, name=name)

@@ -22,7 +22,7 @@ from .engine import (ArityOverflowError, EngineError, Variety, consequences,
                      is_consequence, load_variety)
 from .exprs import format_element, parse_expr
 from .operads import (OperadError, free_delta_p_basis, koszul_dual,
-                      koszulness_witness, presentation_of_variety)
+                      koszulness_witness)
 from .scalar import DegreeOverflowError
 from .terms import TermError
 
@@ -158,14 +158,14 @@ def cmd_depolarize(args):
 
 def cmd_dual(args):
     v = _resolve_variety(args.variety, args.delta)
-    dual = koszul_dual(presentation_of_variety(v))
+    dual = koszul_dual(v)
     print("generators:")
-    for op in dual.generators:
+    for op in dual.ops:
         print("  op %s %s" % (op.name, op.symmetry))
     print("relations:")
-    for rel in dual.relations:
+    for rel in dual.identities:
         print("  %s" % format_element(rel))
-    mixed = sum(1 for rel in dual.relations if len(rel.op_names()) > 1)
+    mixed = sum(1 for rel in dual.identities if len(rel.op_names()) > 1)
     print("mixed_relations=%d" % mixed)
     return EXIT_OK
 

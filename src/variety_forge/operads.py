@@ -1,12 +1,15 @@
-"""Binary quadratic operad presentations, Koszul duals, Hilbert-series tests.
+"""Koszul duals of binary quadratic varieties, Hilbert-series tests.
 
-The Koszul dual is computed in the arity-3 component: the relations span the
-arity-3 consequence space (``engine.consequences``, which closes them under
-the S3 action), and the dual takes its orthogonal complement under the
-sign-twisted pairing that couples each monomial with its operation-swapped
-mirror weighted by the sign of its leaf word.  The pairing normalization is
-calibrated on the self-dual linkage family and cross-checked on the
-mixed-Poisson relation matrix, then frozen by unit tests.
+A binary quadratic presentation is a ``Variety`` whose generators are
+symmetric or antisymmetric and whose identities all have arity 3; its Koszul
+dual is again such a ``Variety``.  The dual is computed in the arity-3
+component: the relations span the arity-3 consequence space
+(``engine.consequences``, which closes them under the S3 action), and the
+dual takes its orthogonal complement under the sign-twisted pairing that
+couples each monomial with its operation-swapped mirror weighted by the sign
+of its leaf word.  The pairing normalization is calibrated on the self-dual
+linkage family and cross-checked on the mixed-Poisson relation matrix, then
+frozen by unit tests.
 
 Hilbert series here carry the convention a_n = (-1)^n dim P(n) / n!, so a
 Koszul operad satisfies H(H!(t)) = t; a nonzero deviation coefficient
@@ -31,32 +34,6 @@ _F = Fraction
 
 class OperadError(ValueError):
     pass
-
-
-class QuadraticPresentation:
-    """Binary generators with declared symmetry and arity-3 relations."""
-
-    def __init__(self, generators, relations, delta=None, name=""):
-        self.generators = tuple(generators)
-        self.relations = tuple(relations)
-        self.delta = _F(delta) if delta is not None else None
-        self.name = name
-        for op in self.generators:
-            if op.symmetry == NONE:
-                raise OperadError(
-                    "generator %r carries no symmetry; only symmetric or "
-                    "antisymmetric binary generators are supported" % op.name)
-        for rel in self.relations:
-            if rel.arity != 3:
-                raise OperadError("non-quadratic relation of arity %d" % rel.arity)
-
-    def variety(self) -> Variety:
-        return Variety(self.generators, self.relations, delta=self.delta,
-                       name=self.name)
-
-    def __repr__(self):
-        return "QuadraticPresentation(%s, %d relations)" % (
-            self.name or "?", len(self.relations))
 
 
 def _leaf_sign(mono: Monomial) -> int:
@@ -87,11 +64,25 @@ def _swap_ops(tree, name_map):
             _swap_ops(tree[2], name_map))
 
 
-def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
+def _check_quadratic(v: Variety):
+    """Raise OperadError unless v is a binary quadratic presentation."""
+    for e in v.identities:
+        if e.arity != 3:
+            raise OperadError("variety is not binary quadratic: identity of arity %d"
+                              % e.arity)
+    for op in v.ops:
+        if op.symmetry == NONE:
+            raise OperadError(
+                "generator %r carries no symmetry; only symmetric or "
+                "antisymmetric binary generators are supported" % op.name)
+
+
+def koszul_dual(v: Variety) -> Variety:
     """Dual presentation on the sign-twisted orthogonal complement."""
-    dual_ops, name_map = _dual_signature(p.generators)
+    _check_quadratic(v)
+    dual_ops, name_map = _dual_signature(v.ops)
     dual_ctx = get_context(dual_ops, 3)
-    space = consequences(p.variety(), 3)
+    space = consequences(v, 3)
     if space.dim == 0:
         raise OperadError("relations span the whole arity-3 space")
 
@@ -105,8 +96,7 @@ def koszul_dual(p: QuadraticPresentation) -> QuadraticPresentation:
     kernel = nullspace(m_rows, len(dual_ctx.monomials), domain)
     relations = tuple(row_to_element(row, dual_ctx.monomials, 3)
                       for row in kernel.field_rows())
-    return QuadraticPresentation(dual_ops, relations, delta=p.delta,
-                                 name=(p.name + "!") if p.name else "dual")
+    return Variety(dual_ops, relations, delta=v.delta, name=v.name + "!")
 
 
 # ---------------------------------------------------------------------------
@@ -121,34 +111,34 @@ _BLOCK_SOURCES = {
 }
 
 
-def block_basis(p: QuadraticPresentation, block: str):
+def block_basis(v: Variety, block: str):
     """The fixed ordered sub-basis, restricted to the available generators."""
     try:
         sources = _BLOCK_SOURCES[block]
     except KeyError:
         raise OperadError("unknown block %r (mixed | pure-dot | pure-bracket)" % block)
-    names = {op.name for op in p.generators}
+    names = {op.name for op in v.ops}
     out = []
     for src in sources:
         used = {w for w in ("dot", "bracket") if w in src}
         if used <= names:
-            e = parse_expr(src, p.generators)
+            e = parse_expr(src, v.ops)
             ((mono, _),) = e.terms.items()
             out.append(mono)
     return out
 
 
-def dual_relation_matrix(p: QuadraticPresentation, block: str):
-    """Coefficient rows of p's relations on the block, in presentation order.
+def dual_relation_matrix(v: Variety, block: str):
+    """Coefficient rows of v's identities on the block, in the listed order.
 
-    Relations with no support on the block are skipped; a relation that
+    Identities with no support on the block are skipped; one that
     straddles the block boundary is an error since the printed matrices are
     block-homogeneous.
     """
-    basis = block_basis(p, block)
+    basis = block_basis(v, block)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
-    for rel in p.relations:
+    for rel in v.identities:
         row = [None] * len(basis)
         inside = 0
         for mono, coeff in rel.terms.items():
@@ -197,10 +187,6 @@ class Series:
 
     def __repr__(self):
         return "Series(%s)" % self
-
-
-def identity_series(order: int) -> Series:
-    return Series([1] + [0] * (order - 1), order)
 
 
 def hilbert_series(dims, order: int = None) -> Series:
@@ -313,22 +299,13 @@ class KoszulVerdict:
         return "\n".join([head] + body)
 
 
-def presentation_of_variety(v: Variety) -> QuadraticPresentation:
-    for e in v.identities:
-        if e.arity != 3:
-            raise OperadError("variety is not binary quadratic: identity of arity %d"
-                              % e.arity)
-    return QuadraticPresentation(v.ops, v.identities, delta=v.delta, name=v.name)
-
-
 def koszulness_witness(v: Variety, order: int, mode: str = "exact") -> KoszulVerdict:
     """Compare H(H!(t)) with t using engine-computed dimensions on both sides."""
     if order < 1:
         raise OperadError("order must be positive")
-    p = presentation_of_variety(v)
-    dual = koszul_dual(p)
+    dual = koszul_dual(v)
     dims = [dim_multilinear(v, n, mode) for n in range(1, order + 1)]
-    dual_dims = [dim_multilinear(dual.variety(), n, mode) for n in range(1, order + 1)]
+    dual_dims = [dim_multilinear(dual, n, mode) for n in range(1, order + 1)]
     h = hilbert_series(dims, order)
     h_dual = hilbert_series(dual_dims, order)
     composed = compose(h, h_dual, order)

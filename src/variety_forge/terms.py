@@ -168,12 +168,19 @@ def _normalize_rec(tree, table):
         raise TermError("unknown operation %r" % name) from None
     sl, left = _normalize_rec(left, table)
     sr, right = _normalize_rec(right, table)
-    sign = sl * sr
+    sign, left, right = _order_children(sym, left, right)
+    return sl * sr * sign, (name, left, right)
+
+
+def _order_children(sym, left, right):
+    """(sign, left, right) with two canonical children in canonical order.
+
+    An (anti)symmetric operation puts the child with the smaller
+    ``_tree_key`` first; under an antisymmetric one the swap flips the sign.
+    """
     if sym != NONE and _tree_key(left) > _tree_key(right):
-        left, right = right, left
-        if sym == ANTISYMMETRIC:
-            sign = -sign
-    return sign, (name, left, right)
+        return (-1 if sym == ANTISYMMETRIC else 1), right, left
+    return 1, left, right
 
 
 def normalize(tree, ops, fragment=False):
@@ -383,11 +390,7 @@ def multiply_by_var(e: Element, op: OpSymbol, position: str = "right") -> Elemen
     for mono, coeff in e.terms.items():
         # subtrees are already canonical, only the new root needs ordering
         left, right = (mono.tree, fresh) if position == "right" else (fresh, mono.tree)
-        sign = 1
-        if op.symmetry != NONE and _tree_key(left) > _tree_key(right):
-            left, right = right, left
-            if op.symmetry == ANTISYMMETRIC:
-                sign = -1
+        sign, left, right = _order_children(op.symmetry, left, right)
         tree = (op.name, left, right)
         out._add(Monomial(tree, fresh, _tree_key(tree)), coeff if sign == 1 else -coeff)
     return out

@@ -11,7 +11,6 @@ target element; the span equality still holds and is covered elsewhere).
 from fractions import Fraction
 
 from variety_forge.catalog import identity
-from variety_forge.exprs import parse_expr
 from variety_forge.scalar import DELTA, RationalFunction
 from variety_forge.terms import Element, Permutation, act
 

@@ -11,9 +11,8 @@ from variety_forge import engine
 from variety_forge.catalog import algebra, identity, one_op_variety, variety
 from variety_forge.engine import (ArityOverflowError, EngineError,
                                   MonomialContext, Variety, clear_cache,
-                                  consequences, depolarize_variety,
-                                  dim_multilinear, equivalent, format_variety,
-                                  get_context, is_consequence,
+                                  consequences, dim_multilinear, equivalent,
+                                  format_variety, get_context, is_consequence,
                                   parse_variety_text, row_to_element)
 from variety_forge.linalg import PolyDomain, ZZDomain, sampled_delta_points
 from variety_forge.scalar import DELTA

@@ -1,23 +1,23 @@
-"""Quadratic presentations, Koszul duals, Hilbert series, free bases."""
+"""Koszul duals of quadratic varieties, Hilbert series, free bases."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from variety_forge.catalog import presentation, variety, variety_names
-from variety_forge.engine import (consequences, dim_multilinear, element_to_row,
-                                  equivalent, get_context)
-from variety_forge.exprs import format_element
+from variety_forge.catalog import identity, presentation, variety, variety_names
+from variety_forge.engine import (Variety, consequences, dim_multilinear,
+                                  element_to_row, equivalent, get_context)
+from variety_forge.exprs import format_element, parse_expr
 from variety_forge.linalg import RowBasis
-from variety_forge.operads import (OperadError, QuadraticPresentation, Series,
+from variety_forge.operads import (OperadError, Series, _check_quadratic,
                                    _dual_signature, _leaf_sign, _swap_ops,
                                    block_basis, compose, dual_relation_matrix,
                                    free_delta_p_basis, hilbert_series,
-                                   identity_series, koszul_dual,
-                                   koszulness_witness, presentation_of_variety)
+                                   koszul_dual, koszulness_witness)
 from variety_forge.scalar import DELTA
-from variety_forge.terms import OpSymbol, Permutation, act, normalize_tree
+from variety_forge.terms import (BRACKET, DOT, OpSymbol, Permutation, act,
+                                 normalize_tree)
 
 F = Fraction
 d = DELTA
@@ -70,35 +70,30 @@ def test_block_basis_order():
 def test_self_duality_of_the_linkage_family():
     for q in (F(-1), F(1, 2), F(2)):
         dp = variety("delta-poisson", delta=q)
-        dual = koszul_dual(presentation_of_variety(dp))
-        assert equivalent(dual.variety(), dp, 3)
+        assert equivalent(koszul_dual(dp), dp, 3)
     for q in (F(-1), F(1, 2), F(2)):
         tp = variety("transposed-delta-poisson", delta=q)
-        dual = koszul_dual(presentation_of_variety(tp))
-        assert equivalent(dual.variety(), tp, 3)
+        assert equivalent(koszul_dual(tp), tp, 3)
 
 
 def test_mixed_poisson_dual_is_pure():
     dual = koszul_dual(presentation("mixed-poisson"))
-    assert all(len(rel.op_names()) == 1 for rel in dual.relations)
-    dv = dual.variety()
-    assert equivalent(dv, variety("com-lie"), 3)
-    assert [dim_multilinear(dv, n) for n in (2, 3, 4)] == [2, 9, 67]
+    assert all(len(rel.op_names()) == 1 for rel in dual.identities)
+    assert equivalent(dual, variety("com-lie"), 3)
+    assert [dim_multilinear(dual, n) for n in (2, 3, 4)] == [2, 9, 67]
 
 
 def test_com_lie_duality_and_biduality():
     com = presentation("com")
     dual = koszul_dual(com)
-    (op,) = dual.generators
+    (op,) = dual.ops
     assert op.symmetry == "antisymmetric"
-    assert equivalent(dual.variety(), _rename_variety(variety("lie"), op.name), 3)
+    assert equivalent(dual, _rename_variety(variety("lie"), op.name), 3)
     again = koszul_dual(dual)
-    assert equivalent(again.variety(), _rename_variety(variety("com"), op.name), 3)
+    assert equivalent(again, _rename_variety(variety("com"), op.name), 3)
 
 
 def _rename_variety(v, new_name):
-    from variety_forge.engine import Variety
-    from variety_forge.exprs import format_element, parse_expr
     (op,) = v.ops
     renamed = OpSymbol(new_name, op.symmetry)
     idents = [parse_expr(format_element(e).replace(op.name + "(", new_name + "("),
@@ -109,19 +104,17 @@ def _rename_variety(v, new_name):
 def test_biduality_of_two_operation_presentations():
     for name in ("mixed-poisson", "com-lie"):
         p = presentation(name)
-        assert equivalent(koszul_dual(koszul_dual(p)).variety(), p.variety(), 3)
+        assert equivalent(koszul_dual(koszul_dual(p)), p, 3)
     ap = presentation("anti-poisson")
-    assert equivalent(koszul_dual(koszul_dual(ap)).variety(), ap.variety(), 3)
+    assert equivalent(koszul_dual(koszul_dual(ap)), ap, 3)
 
 
 def test_dimension_duality_at_arity_three():
-    from variety_forge.engine import consequences
     for p in (presentation("anti-poisson"), presentation("mixed-poisson"),
-              presentation("com-lie"),
-              presentation_of_variety(variety("transposed-delta-poisson", delta=F(2)))):
+              presentation("com-lie"), variety("transposed-delta-poisson", delta=F(2))):
         dual = koszul_dual(p)
-        r1 = consequences(p.variety(), 3).rank
-        r2 = consequences(dual.variety(), 3).rank
+        r1 = consequences(p, 3).rank
+        r2 = consequences(dual, 3).rank
         assert r1 + r2 == 12
 
 
@@ -131,10 +124,12 @@ def _quadratic_presentations():
            ("delta-poisson", "anti-poisson", "poisson", "transposed-delta-poisson",
             "mixed-poisson", "com", "lie", "com-lie")]
     for name in variety_names():
+        v = variety(name)
         try:
-            out.append(presentation_of_variety(variety(name)))
+            _check_quadratic(v)
         except OperadError:
-            pass  # an identity of arity 4, or a generator without symmetry
+            continue  # an identity of arity 4, or a generator without symmetry
+        out.append(v)
     return out
 
 
@@ -142,24 +137,23 @@ def test_relation_span_is_the_arity_three_consequence_space():
     presentations = _quadratic_presentations()
     assert len(presentations) == 21  # 8 presentations, 13 quadratic varieties
     for p in presentations:
-        ctx = get_context(p.generators, 3)
-        domain = p.variety().domain
-        images = [act(Permutation(img), rel, p.generators)
-                  for rel in p.relations for img in itertools.permutations((1, 2, 3))]
-        span = RowBasis(len(ctx.monomials), domain)
+        ctx = get_context(p.ops, 3)
+        images = [act(Permutation(img), rel, p.ops)
+                  for rel in p.identities for img in itertools.permutations((1, 2, 3))]
+        span = RowBasis(len(ctx.monomials), p.domain)
         for img in images:
-            span.insert(element_to_row(img, ctx, p.delta, domain))
+            span.insert(element_to_row(img, ctx, p.delta, p.domain))
         assert span.canonical_rows() == \
-            consequences(p.variety(), 3).basis.canonical_rows(), p.name
+            consequences(p, 3).basis.canonical_rows(), p.name
         # the dual relations are the RREF basis of the orthogonal complement of
         # that span under the sign-twisted pairing, so they are fixed by it
         dual = koszul_dual(p)
-        dual_ops, name_map = _dual_signature(p.generators)
-        assert dual.generators == dual_ops
-        assert len(dual.relations) == len(ctx.monomials) - span.rank, p.name
+        dual_ops, name_map = _dual_signature(p.ops)
+        assert dual.ops == dual_ops
+        assert len(dual.identities) == len(ctx.monomials) - span.rank, p.name
         dual_table = get_context(dual_ops, 3).table
         for img in images:
-            for rel in dual.relations:
+            for rel in dual.identities:
                 pairing = 0
                 for mono, c in img.terms.items():
                     sign, twin = normalize_tree(_swap_ops(mono.tree, name_map), dual_table)
@@ -171,11 +165,11 @@ def test_relation_span_is_the_arity_three_consequence_space():
 
 
 def test_dual_rejects_bad_presentations():
-    with pytest.raises(OperadError):
-        QuadraticPresentation((OpSymbol("m", "none"),), ())
-    from variety_forge.catalog import identity
-    with pytest.raises(OperadError):
-        QuadraticPresentation((OpSymbol("dot", "symmetric"),), (identity("xyzt-1"),))
+    with pytest.raises(OperadError, match="no symmetry"):
+        koszul_dual(Variety((OpSymbol("m", "none"),), ()))
+    # xyzt-1 has arity 4
+    with pytest.raises(OperadError, match="arity 4"):
+        koszul_dual(Variety((DOT, BRACKET), (identity("xyzt-1"),)))
 
 
 def test_hilbert_series_values():
@@ -193,7 +187,7 @@ def test_compose_examples():
     c = compose(h, h, 5)
     assert c == Series([F(1), 0, 0, 0, F(91, 60)])
     f = Series([F(3), F(-2), F(5)])
-    assert compose(f, identity_series(3), 3) == f
+    assert compose(f, Series([1], 3), 3) == f
     assert compose(Series([-1]), Series([-1]), 1) == Series([1])
 
 
@@ -250,7 +244,6 @@ def test_free_basis_counts():
 
 
 def test_free_basis_is_complement_of_the_ideal():
-    from variety_forge.engine import consequences, get_context
     ap = variety("anti-poisson")
     space = consequences(ap, 5)
     ctx = get_context(ap.ops, 5)
