@@ -17,8 +17,8 @@ from fractions import Fraction
 from . import catalog
 from .algebras import (Algebra, AlgebraError, format_algebra, load_algebra,
                        merge_polarization, split_polarization, tensor)
-from .engine import (ArityOverflowError, EngineError, Variety, consequences,
-                     dim_multilinear, equivalent, format_variety,
+from .engine import (ArityOverflowError, EngineError, Variety, at_sample_point,
+                     consequences, dim_multilinear, equivalent, format_variety,
                      is_consequence, load_variety)
 from .exprs import format_element, parse_expr
 from .operads import (OperadError, free_delta_p_basis, koszul_dual,
@@ -90,7 +90,7 @@ def cmd_dim(args):
     v = _resolve_variety(args.variety, args.delta)
     d = dim_multilinear(v, args.arity, mode=args.mode)
     print("dim=%d" % d)
-    if args.mode == "sampled":
+    if at_sample_point(v, args.mode):
         print("certified=upper-bound (sampled ranks are lower bounds)")
     return EXIT_OK
 
@@ -106,7 +106,7 @@ def cmd_consequence(args):
     space = consequences(v, n, mode=args.mode)
     print("consequence=%s" % ("yes" if answer else "no"))
     print("rank=%d" % space.rank)
-    if args.mode == "sampled":
+    if at_sample_point(v, args.mode):
         print("probabilistic=yes")
     return _expect(args, answer)
 
@@ -116,7 +116,7 @@ def cmd_equiv(args):
     v2 = _resolve_variety(args.variety2, args.delta)
     answer = equivalent(v1, v2, args.arity, mode=args.mode)
     print("equivalent=%s" % ("yes" if answer else "no"))
-    if args.mode == "sampled":
+    if at_sample_point(v1, args.mode) or at_sample_point(v2, args.mode):
         print("probabilistic=yes")
     return _expect(args, answer)
 

@@ -6,7 +6,11 @@ two elementary steps (substitute x_i <- op(x_i, x_{m+1}), and multiply the
 whole monomial by the fresh variable), and each arity level is closed under
 variable relabelings.  Closure over all of S_n is realised by saturating the
 row span under the two group generators (1 2) and (1 2 ... n), which spans the
-same space as inserting every one of the n! images.
+same space as inserting every one of the n! images.  A (1 2) image is not
+tried where the span provably holds it already: for a lift row at n >= 3,
+and for a row that was itself accepted as a (1 2) image (see
+``_build_basis``).  Level n is lifted from the cached level n-1, so each
+level is built once per process.
 
 Rows live over Q when the variety carries no free parameter (or d is
 specialized to a rational), and over Q(d) otherwise: ``Variety.domain`` makes
@@ -309,40 +313,60 @@ def _sampled_spaces(varieties, n):
     return best
 
 
+def at_sample_point(v: Variety, mode: str) -> bool:
+    """True iff mode is sampled and v's spaces are taken at a sample point of d.
+
+    That is the case exactly when d is generic in v; a d-free variety gets
+    its exact space in either mode.
+    """
+    return mode == "sampled" and v.domain is PolyDomain
+
+
 def _build_basis(v: Variety, n: int) -> RowBasis:
+    """Closure of v's arity-n identities and of the lifts of level n-1.
+
+    Level n-1 comes from ``consequences``, so each level is built once per
+    process.  The candidates are inserted first; every accepted row then
+    queues its images under the generators (1 2) and (1 2 ... n), except a
+    (1 2) image that the span provably holds already:
+
+    - a lift row x at n >= 3: the lifts span W = L(V_{n-1}), and (1 2) lies
+      in S_{n-1}, which maps V_{n-1} to itself, fixes the lift by the fresh
+      variable and permutes the substitution lifts (sigma L_i = L_sigma(i)
+      sigma); so (1 2)x lies in W, all of whose rows went in before the
+      queue started;
+    - a row accepted as (1 2)y: its (1 2) image is y.
+
+    Such an insert would be rejected, and a rejected insert leaves the basis
+    as it was, so the skips change no basis state, only the work done.
+    """
     domain = v.domain
-    by_arity = {}
-    for e in v.identities:
-        by_arity.setdefault(e.arity, []).append(e)
-    ctx_n = get_context(v.ops, n)
-    if not by_arity or min(by_arity) > n:
-        return RowBasis(len(ctx_n.monomials), domain)
-    m0 = min(by_arity)
+    ctx = get_context(v.ops, n)
+    basis = RowBasis(len(ctx.monomials), domain)
     neg = domain.neg
-    prev_basis = None
-    prev_ctx = None
-    basis = None
-    for m in range(m0, n + 1):
-        ctx = get_context(v.ops, m)
-        basis = RowBasis(len(ctx.monomials), domain)
-        queue = []
-        candidates = [element_to_row(e, ctx, v.delta, domain)
-                      for e in by_arity.get(m, [])]
-        if prev_basis is not None and prev_basis.rank:
-            for table in prev_ctx.lift_tables(ctx):
-                for row in prev_basis.rows.values():
-                    candidates.append(apply_index_map(row, table, neg))
-        for row in candidates:
+    # queue entries: an accepted row and whether its (1 2) image may be new
+    queue = []
+    for e in v.identities:
+        if e.arity == n:
+            row = element_to_row(e, ctx, v.delta, domain)
             if basis.insert(row):
-                queue.append(row)
-        gen_tables = ctx.perm_generator_tables()
-        while queue:
-            row = queue.pop()
-            for table in gen_tables:
+                queue.append((row, True))
+    if any(e.arity < n for e in v.identities):
+        prev = consequences(v, n - 1)
+        for table in get_context(v.ops, n - 1).lift_tables(ctx):
+            for row in prev.basis.rows.values():
                 img = apply_index_map(row, table, neg)
                 if basis.insert(img):
-                    queue.append(img)
-        prev_basis, prev_ctx = basis, ctx
+                    queue.append((img, n < 3))
+    tables = ctx.perm_generator_tables()
+    while queue:
+        row, swap_new = queue.pop()
+        for k, table in enumerate(tables):
+            if k == 0 and not swap_new:
+                continue
+            img = apply_index_map(row, table, neg)
+            if basis.insert(img):
+                queue.append((img, k != 0))
     return basis
 
 

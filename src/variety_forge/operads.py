@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .engine import (Variety, apply_index_map, consequences, dim_multilinear,
-                     get_context, row_to_element)
+from .engine import (Variety, apply_index_map, at_sample_point, consequences,
+                     dim_multilinear, get_context, row_to_element)
 from .exprs import parse_expr
 from .linalg import nullspace
 from .scalar import RationalFunction, join_signed, signed_term
@@ -310,7 +310,7 @@ def koszulness_witness(v: Variety, order: int, mode: str = "exact") -> KoszulVer
     h_dual = hilbert_series(dual_dims, order)
     composed = compose(h, h_dual, order)
     return KoszulVerdict(v.name, order, dims, dual_dims, h, h_dual, composed,
-                         probabilistic=(mode == "sampled"))
+                         probabilistic=at_sample_point(v, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,32 @@ def test_sampled_mode(capsys):
     code, out, _ = run(capsys, "equiv", "delta-poisson", "delta-poisson",
                        "--arity", "3", "--mode", "sampled", "--no-timing")
     assert code == 0 and out == "equivalent=yes\nprobabilistic=yes\n"
+    code, out, _ = run(capsys, "equiv", "mixed-poisson", "delta-poisson",
+                       "--arity", "3", "--mode", "sampled", "--no-timing")
+    assert code == 0 and out == "equivalent=no\nprobabilistic=yes\n"
+    code, out, _ = run(capsys, "koszul", "delta-poisson", "--order", "3",
+                       "--mode", "sampled", "--no-timing")
+    assert code == 0 and "probabilistic=yes" in out
+
+
+def test_sampled_mode_without_generic_d_is_exact(capsys):
+    # no sample point is taken for a d-free variety, so nothing is labelled
+    code, out, _ = run(capsys, "dim", "anti-poisson", "--arity", "4",
+                       "--mode", "sampled", "--no-timing")
+    assert code == 0 and out == "dim=12\n"
+    code, out, _ = run(capsys, "consequence", "anti-poisson", "--delta", "2",
+                       "--target", "xyzt-1", "--mode", "sampled", "--no-timing")
+    assert code == 0 and "consequence=" in out and "probabilistic" not in out
+    code, out, _ = run(capsys, "consequence", "delta-poisson", "--delta", "2",
+                       "--target", "xyzt-1", "--mode", "sampled", "--no-timing")
+    assert code == 0 and "consequence=" in out and "probabilistic" not in out
+    code, out, _ = run(capsys, "equiv", "anti-poisson", "anti-poisson",
+                       "--arity", "3", "--mode", "sampled", "--no-timing")
+    assert code == 0 and out == "equivalent=yes\n"
+    code, out, _ = run(capsys, "koszul", "mixed-poisson", "--order", "4",
+                       "--mode", "sampled", "--no-timing")
+    assert code == 0 and "probabilistic=no" in out
+    assert "(probabilistic dims)" not in out
 
 
 def test_exit_codes(capsys, tmp_path):

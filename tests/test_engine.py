@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 from variety_forge import engine
-from variety_forge.catalog import algebra, identity, one_op_variety, variety
+from variety_forge.catalog import (algebra, identity, one_op_variety, variety,
+                                   variety_names)
 from variety_forge.engine import (ArityOverflowError, EngineError,
                                   MonomialContext, Variety, clear_cache,
                                   consequences, dim_multilinear, equivalent,
                                   format_variety, get_context, is_consequence,
                                   parse_variety_text, row_to_element)
-from variety_forge.linalg import PolyDomain, ZZDomain, sampled_delta_points
+from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
 from variety_forge.scalar import DELTA
 from variety_forge.terms import (Permutation, act, act_monomial, normalize_tree,
                                  substitute_tree)
@@ -275,6 +276,59 @@ def test_depolarize_variety_spans_polarized_image():
 def test_extended_arity_six():
     assert dim_multilinear(variety("anti-poisson"), 6) == 145
     assert dim_multilinear(variety("mixed-poisson"), 6) == 121
+
+
+def _reference_levels(v, top):
+    """Levels 1..top, each the span of every sigma in S_n applied to the
+    arity-n identities and to the lifts of the previous reference level."""
+    domain, neg = v.domain, v.domain.neg
+    levels, prev = [], None
+    for n in range(1, top + 1):
+        ctx = get_context(v.ops, n)
+        seeds = [engine.element_to_row(e, ctx, v.delta, domain)
+                 for e in v.identities if e.arity == n]
+        if prev is not None:
+            for table in get_context(v.ops, n - 1).lift_tables(ctx):
+                seeds += [engine.apply_index_map(row, table, neg)
+                          for row in prev.rows.values()]
+        prev = RowBasis(len(ctx.monomials), domain)
+        for img in itertools.permutations(range(1, n + 1)):
+            sigma = Permutation(img)
+            leaves = {i: ctx.node_id[sigma(i)] for i in range(1, n + 1)}
+            table = ctx._index_map(ctx._images(leaves, ctx))
+            for row in seeds:
+                prev.insert(engine.apply_index_map(row, table, neg))
+        levels.append(prev)
+    return levels
+
+
+@pytest.mark.parametrize("name", variety_names())
+def test_closure_matches_the_span_of_all_permutations(name):
+    # no generator pair and no skipped image: every sigma on every seed row
+    v = variety(name)
+    for n, ref in enumerate(_reference_levels(v, 4), 1):
+        assert consequences(v, n).basis.canonical_rows() == ref.canonical_rows(), n
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_arity_two_identity_levels_and_the_level_cache(sign, monkeypatch):
+    # m anticommutative (+) or commutative (-): (2n-3)!! monomials survive,
+    # and level 3 is the first one lifted
+    v = parse_variety_text("op m none\nidentity: m(x1,x2) %s m(x2,x1)\n" % sign)
+    for n, dim in enumerate((1, 1, 3, 15, 105), 1):
+        clear_cache()
+        assert dim_multilinear(v, n) == dim
+    # the cold level-5 build above left levels 1..4 in the cache
+    built = []
+
+    class CountingBasis(RowBasis):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "RowBasis", CountingBasis)
+    level4 = consequences(v, 4)
+    assert consequences(v, 4) is level4 and built == []
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,8 @@ def test_koszulness_witness_sampled_flag():
     w = koszulness_witness(variety("delta-poisson"), 3, mode="sampled")
     assert w.probabilistic
     assert "probabilistic=yes" in w.to_lines()
+    # no sample point is taken for a d-free variety
+    assert not koszulness_witness(variety("mixed-poisson"), 3, mode="sampled").probabilistic
 
 
 def test_free_basis_counts():
