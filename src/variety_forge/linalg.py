@@ -186,19 +186,25 @@ def to_row(entries, domain):
     reduce_row computes it.  Over Z a d-dependent entry raises ValueError.
     """
     if domain is ZZDomain:
-        fracs = {c: v.as_fraction() if isinstance(v, RationalFunction) else Fraction(v)
+        # ints and Fractions both carry numerator/denominator
+        fracs = {c: v.as_fraction() if isinstance(v, RationalFunction) else v
                  for c, v in entries.items() if v}
         lcm = 1
         for v in fracs.values():
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        row = {c: int(v * lcm) for c, v in fracs.items()}
+            lcm = math.lcm(lcm, v.denominator)
+        row = {c: v.numerator * (lcm // v.denominator) for c, v in fracs.items()}
     else:
         rfs = {c: v if isinstance(v, RationalFunction) else RationalFunction.from_fraction(v)
                for c, v in entries.items() if v}
         lcm = PONE
+        # polynomial entries (denominator 1) are the common case: no lcm to take
         for v in rfs.values():
-            lcm = pdivexact(pmul(lcm, v.den), pgcd(lcm, v.den))
-        row = {c: pmul(v.num, pdivexact(lcm, v.den)) for c, v in rfs.items()}
+            if v.den != PONE:
+                lcm = pdivexact(pmul(lcm, v.den), pgcd(lcm, v.den))
+        if lcm == PONE:
+            row = {c: v.num for c, v in rfs.items()}
+        else:
+            row = {c: pmul(v.num, pdivexact(lcm, v.den)) for c, v in rfs.items()}
     return domain.reduce_row(row)
 
 
@@ -230,52 +236,47 @@ class RowBasis:
         return out
 
     def _eliminate(self, r, s, p):
-        """r <- a*r - b*s with (a, b) = cancel(s[p], r[p]); r[p] becomes zero."""
+        """r <- a*r - b*s in place, with (a, b) = cancel(s[p], r[p]); r[p] becomes zero."""
         dom = self.domain
         a, b = dom.cancel(s[p], r[p])
         mul, sub, neg = dom.mul, dom.sub, dom.neg
         if a != dom.one:
-            out = {c: mul(a, v) for c, v in r.items()}
-        else:
-            out = dict(r)
+            for c, v in r.items():
+                r[c] = mul(a, v)
         for c, v in s.items():
             bv = mul(b, v)
-            cur = out.get(c)
+            cur = r.get(c)
             if cur is None:
-                out[c] = neg(bv)
+                r[c] = neg(bv)
             else:
                 nv = sub(cur, bv)
                 if nv:
-                    out[c] = nv
+                    r[c] = nv
                 else:
-                    del out[c]
-        return out
+                    del r[c]
+        return r
 
     def _reduce(self, row):
         """Fully reduce a row against the basis; returns the remainder.
 
         The row is copied in canonical form (no zero entries, normalized
-        polynomials), so a caller may pass entries such as 0 or (1, 0).
+        polynomials), so a caller may pass entries such as 0 or (1, 0), and
+        the argument is left unchanged.
 
-        Because stored rows carry no entries at any other pivot column, a
-        single pass over the pivot-colliding columns cannot reintroduce one;
-        the outer loop is a safety net and normally runs once.
+        Stored rows vanish at every other row's pivot, so eliminating one
+        pivot column neither adds nor removes an entry at another: one scan
+        over the pivot columns the row holds leaves none of them.
         """
-        rows = self.rows
-        r = self.domain.canonical_copy(row)
+        rows, dom = self.rows, self.domain
+        r = dom.canonical_copy(row)
         steps = 0
-        while r:
-            hit = sorted(c for c in r if c in rows)
-            if not hit:
-                break
-            for c in hit:
-                if c in r:
-                    r = self._eliminate(r, rows[c], c)
-                    steps += 1
-                    if steps % 8 == 0:
-                        self.domain.reduce_row(r)
+        for c in sorted(c for c in r if c in rows):
+            self._eliminate(r, rows[c], c)
+            steps += 1
+            if steps % 8 == 0:
+                dom.reduce_row(r)
         if r and steps:
-            self.domain.reduce_row(r)
+            dom.reduce_row(r)
         return r
 
     def reduce(self, row) -> dict:
@@ -307,7 +308,7 @@ class RowBasis:
             s = rows[q]
             if p not in s:
                 continue
-            s2 = self._orient(dom.reduce_row(self._eliminate(s, r, p)), q)
+            s2 = self._orient(dom.reduce_row(self._eliminate(dict(s), r, p)), q)
             for c in s2:
                 if c not in s:
                     occ.setdefault(c, []).append(q)

@@ -198,11 +198,26 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     return pscale(a, cg) if cg > 1 else a
 
 
-def peval(a: Poly, q: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v in reversed(a):
-        acc = acc * q + v
+def _homogeneous_eval(a: Poly, u: int, v: int) -> int:
+    """v^deg(a) * a(u/v) as an int (0 for the zero polynomial).
+
+    Integer Horner with a running power of v, so no Fraction is built.
+    """
+    if not a:
+        return 0
+    it = reversed(a)
+    acc = next(it)
+    vk = 1
+    for c in it:
+        vk *= v
+        acc = acc * u + c * vk
     return acc
+
+
+def peval(a: Poly, q) -> Fraction:
+    """Exact value a(q) at an int or Fraction q."""
+    v = q.denominator
+    return Fraction(_homogeneous_eval(a, q.numerator, v), v ** max(len(a) - 1, 0))
 
 
 def signed_term(c, var: str, i: int):
@@ -355,11 +370,21 @@ class RationalFunction:
 
     def eval_at(self, q) -> Fraction:
         """Exact value at d = q; raises PoleError at a denominator root."""
-        q = Fraction(q)
-        dv = peval(self.den, q)
-        if dv == 0:
-            raise PoleError("denominator %s vanishes at d=%s" % (pstr(self.den), q))
-        return peval(self.num, q) / dv
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        u, v = q.numerator, q.denominator
+        num, den = self.num, self.den
+        dv = _homogeneous_eval(den, u, v)
+        if not dv:
+            raise PoleError("denominator %s vanishes at d=%s" % (pstr(den), q))
+        nv = _homogeneous_eval(num, u, v)
+        # nv / dv is v^(deg num - deg den) times the value; cancel that power
+        k = len(num) - len(den)
+        if k > 0:
+            dv *= v ** k
+        elif k < 0:
+            nv *= v ** -k
+        return Fraction(nv, dv)
 
     def __str__(self):
         if self.den == PONE:

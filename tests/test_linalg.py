@@ -1,6 +1,7 @@
 """Sparse exact row reduction over Q and Q(d): rank, nullspace, membership."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,11 @@ from variety_forge.catalog import variety
 from variety_forge.engine import consequences
 from variety_forge.linalg import (PolyDomain, RowBasis, ZZDomain, nullspace, rank,
                                   sampled_delta_points, to_row)
-from variety_forge.scalar import (DELTA, PONE, RationalFunction, padd, pmul, pneg,
-                                  pnormalize, pscale)
+from variety_forge.scalar import (DELTA, PONE, RF_ZERO, RationalFunction, padd,
+                                  pcontent, pdivexact, pgcd, pmul, pneg, pnormalize,
+                                  pscale)
 
-from conftest import dense_rref, seeded
+from conftest import dense_rref, random_rational, random_rational_function, seeded
 
 F = Fraction
 d = DELTA
@@ -49,6 +51,64 @@ def test_to_row_clears_denominators():
 def test_to_row_rejects_d_over_z():
     with pytest.raises(ValueError):
         to_row({0: F(1), 1: d}, ZZDomain)
+    with pytest.raises(ValueError):   # a d-dependent denominator too
+        to_row({0: 3, 1: F(1, 2), 2: 1 / (d + 1)}, ZZDomain)
+
+
+def _ref_to_row(entries, domain):
+    """The general lcm/content route, with Fraction and Q(d) arithmetic."""
+    if domain is ZZDomain:
+        vals = {c: v.as_fraction() if isinstance(v, RationalFunction) else F(v)
+                for c, v in entries.items() if v}
+        lcm = math.lcm(1, *(v.denominator for v in vals.values()))
+        row = {c: int(v * lcm) for c, v in vals.items()}
+        g = math.gcd(*row.values())
+        return {c: v // g for c, v in row.items()}
+    vals = {c: v if isinstance(v, RationalFunction) else RationalFunction.from_fraction(v)
+            for c, v in entries.items() if v}
+    lcm = PONE
+    for v in vals.values():
+        lcm = pdivexact(pmul(lcm, v.den), pgcd(lcm, v.den))
+    row = {c: pmul(v.num, pdivexact(lcm, v.den)) for c, v in vals.items()}
+    g = math.gcd(*(pcontent(p) for p in row.values()))
+    return {c: tuple(x // g for x in p) for c, p in row.items()}
+
+
+def _random_entries(rng, poly, constant_dens=False):
+    """A mix of ints, Fractions and RationalFunctions, zeros included.
+
+    With constant_dens every denominator is 1, the route on which to_row
+    takes the numerators over Z[d] without a polynomial lcm.
+    """
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice([0, F(0), RF_ZERO])
+        if kind == 1:
+            return rng.randint(-9, 9)
+        if constant_dens:
+            if poly:   # a polynomial: denominator PONE
+                return RationalFunction(tuple(rng.randint(-4, 4) for _ in range(3)))
+            return RationalFunction(rng.randint(-9, 9))
+        if kind == 2:
+            return random_rational(rng)
+        if poly:
+            return random_rational_function(rng)
+        return RationalFunction.from_fraction(random_rational(rng))
+
+    return {c: entry() for c in rng.sample(range(12), rng.randint(0, 6))}
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_to_row_matches_the_lcm_content_reference(seed, poly):
+    rng = seeded(seed)
+    domain = PolyDomain if poly else ZZDomain
+    for constant_dens in (False, True):
+        entries = _random_entries(rng, poly, constant_dens)
+        row = to_row(entries, domain)
+        assert row == _ref_to_row(entries, domain)
+        assert set(row) == {c for c, v in entries.items() if v}
+        assert all(row.values())
 
 
 def test_insert_examples():
@@ -164,6 +224,32 @@ def test_row_basis_matches_dense_reference_over_q(seed):
 def test_row_basis_matches_dense_reference_over_qd(seed):
     rng = seeded(seed)
     _check_against_reference(rng, rng.randint(2, 6), poly=True)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_reduced_form_invariants(seed, poly):
+    # the one-scan reduce relies on these: no stored row holds another row's
+    # pivot, and reduce/contains copy their argument and leave the basis alone
+    rng = seeded(seed)
+    ncols = rng.randint(2, 6 if poly else 9)
+    domain = PolyDomain if poly else ZZDomain
+    basis = RowBasis(ncols, domain)
+    inserted = _fill_and_cancel_rows(rng, ncols, poly)
+    for r in inserted:
+        basis.insert(r)
+        for p, row in basis.rows.items():
+            assert min(row) == p
+            assert not any(q in row for q in basis.rows if q != p)
+    probes = inserted[:2] + _random_sparse_rows(rng, 3, ncols, poly)
+    for row in probes:
+        before, snapshot = dict(row), basis.copy()
+        rem = basis.reduce(row)
+        assert not any(c in basis.rows for c in rem)
+        in_span = rank(list(basis.rows.values()) + [row], ncols, domain) == basis.rank
+        assert (not rem) == in_span == basis.contains(row)
+        assert row == before
+        assert basis.rows == snapshot.rows and basis.occ == snapshot.occ
+    assert all(basis.contains(r) for r in inserted)
 
 
 def test_reference_matrix_ranks():

@@ -9,8 +9,8 @@ from hypothesis import assume, given, strategies as st
 from variety_forge import scalar
 from variety_forge.exprs import parse_scalar
 from variety_forge.scalar import (DELTA, DegreeOverflowError, PoleError,
-                                  RationalFunction, padd, pgcd, pdivexact, pmul,
-                                  pneg, pquo, psub, pstr)
+                                  RationalFunction, padd, pgcd, pdivexact, peval,
+                                  pmul, pneg, pquo, psub, pstr)
 
 from conftest import random_rational_function, seeded
 
@@ -227,3 +227,45 @@ def test_eval_is_ring_morphism(seed, qnum):
         return
     assert lhs == rhs
     assert add_lhs == add_rhs
+
+
+# -- evaluation at a rational point: integer Horner against Fraction Horner --
+
+def _ref_eval(a, q):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * q + c
+    return acc
+
+
+# zero, negative, integral and non-unit-denominator points, as ints and Fractions
+points = st.one_of(
+    st.sampled_from([0, Fraction(0), -1, Fraction(-1), 2, Fraction(-7, 3)]),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+
+
+@given(polys, nonzero_polys, points)
+def test_integer_evaluation_matches_fraction_horner(a, b, q):
+    got = peval(a, q)
+    assert isinstance(got, Fraction) and got == _ref_eval(a, q)
+    assert peval((), q) == 0
+    f = RationalFunction(a, b)
+    den = _ref_eval(f.den, q)
+    if den:
+        got = f.eval_at(q)
+        assert isinstance(got, Fraction) and got == _ref_eval(f.num, q) / den
+    else:
+        with pytest.raises(PoleError):
+            f.eval_at(q)
+
+
+@given(nonzero_polys, nonzero_polys, points)
+def test_eval_at_raises_at_a_denominator_root(a, h, q):
+    q = Fraction(q)
+    assume(_ref_eval(a, q))
+    # (d - q)*h up to the unit 1/v, so the canonical form keeps the root q
+    f = RationalFunction(a, pmul((-q.numerator, q.denominator), h))
+    with pytest.raises(PoleError) as err:
+        f.eval_at(q)
+    assert str(err.value).endswith("vanishes at d=%s" % q)
