@@ -12,6 +12,14 @@ and for a row that was itself accepted as a (1 2) image (see
 ``_build_basis``).  Level n is lifted from the cached level n-1, so each
 level is built once per process.
 
+Most of a consequence space is whole association types: the monomials of one
+shape and op-word, which form one S_n orbit and one contiguous column range.
+The span is S_n-invariant, so once it holds one such monomial it holds every
+monomial of that type, and ``_build_basis`` inserts the type's unit rows at
+once instead of finding them image by image.  Lifts commute with S_{n-1} up
+to relabelling the lift (sigma L_i = L_sigma(i) sigma), so a whole type of
+level n-1 is lifted through one of its columns.
+
 Rows live over Q when the variety carries no free parameter (or d is
 specialized to a rational), and over Q(d) otherwise: ``Variety.domain`` makes
 that choice once.  See linalg for the fraction-free representation.
@@ -118,6 +126,28 @@ class MonomialContext:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self._perm_tables = None
         self._lift_tables = None
+        self._type_blocks = None
+
+    def type_blocks(self):
+        """Per column, the column range of its association type.
+
+        The association type of a monomial is its shape and op-word, the
+        first two parts of its key.  Relabelling the leaves keeps both (two
+        children whose order the leaves decide have equal shape and op-word),
+        and any two monomials of one type differ by a relabelling, so each
+        type is one S_n orbit; the keys sort by type first, so its columns
+        are one contiguous range.
+        """
+        if self._type_blocks is None:
+            blocks = []
+            monomials = self.monomials
+            start = 0
+            for i in range(1, len(monomials) + 1):
+                if i == len(monomials) or monomials[i].key[:2] != monomials[start].key[:2]:
+                    blocks.extend([range(start, i)] * (i - start))
+                    start = i
+            self._type_blocks = blocks
+        return self._type_blocks
 
     def _join(self, name, a, b):
         """Signed id of the canonical form of name(a, b), a and b signed ids."""
@@ -339,25 +369,65 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
 
     Such an insert would be rejected, and a rejected insert leaves the basis
     as it was, so the skips change no basis state, only the work done.
+
+    Unit rows are placed a whole association type at a time.  The span is
+    S_n-invariant and a type is one S_n orbit of columns (see
+    ``MonomialContext.type_blocks``), so once e_c lies in the span, the unit
+    rows of every column of c's type do too.  An accepted insert that leaves
+    a unit row kills its type: the type's unit rows go in, and none is
+    queued, because their images lie in the type.  The unit rows of level
+    n-1 are whole types as well.  Of each such type one column is lifted
+    through every lift table, and the type each image lands in is killed;
+    by sigma L_i = L_sigma(i) sigma the lifts of the other columns land in
+    the same types.  The other rows of level n-1 are lifted one by one.
     """
     domain = v.domain
     ctx = get_context(v.ops, n)
     basis = RowBasis(len(ctx.monomials), domain)
-    neg = domain.neg
+    rows, neg, one = basis.rows, domain.neg, domain.one
+    blocks = ctx.type_blocks()
+    killed = set()
+
+    def kill(col):
+        """Insert the unit rows of col's association type."""
+        block = blocks[col]
+        if block not in killed:
+            killed.add(block)
+            for c in block:
+                basis.insert({c: one})
+
+    def place(row):
+        """Insert row; True iff it was accepted and is to be queued."""
+        if not basis.insert(row):
+            return False
+        p = next(reversed(rows))  # an accepted row's pivot is the last key
+        if len(rows[p]) == 1:
+            kill(p)
+            return False
+        return True
+
     # queue entries: an accepted row and whether its (1 2) image may be new
     queue = []
     for e in v.identities:
         if e.arity == n:
             row = element_to_row(e, ctx, v.delta, domain)
-            if basis.insert(row):
+            if place(row):
                 queue.append((row, True))
     if any(e.arity < n for e in v.identities):
         prev = consequences(v, n - 1)
-        for table in get_context(v.ops, n - 1).lift_tables(ctx):
+        prev_ctx = get_context(v.ops, n - 1)
+        lifts = prev_ctx.lift_tables(ctx)
+        for block in dict.fromkeys(prev_ctx.type_blocks()):
+            s = prev.basis.rows.get(block.start)
+            if s is not None and len(s) == 1:
+                for table in lifts:
+                    kill(table[block.start][0])
+        for table in lifts:
             for row in prev.basis.rows.values():
-                img = apply_index_map(row, table, neg)
-                if basis.insert(img):
-                    queue.append((img, n < 3))
+                if len(row) > 1:
+                    img = apply_index_map(row, table, neg)
+                    if place(img):
+                        queue.append((img, n < 3))
     tables = ctx.perm_generator_tables()
     while queue:
         row, swap_new = queue.pop()
@@ -365,7 +435,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             if k == 0 and not swap_new:
                 continue
             img = apply_index_map(row, table, neg)
-            if basis.insert(img):
+            if place(img):
                 queue.append((img, k != 0))
     return basis
 

@@ -213,7 +213,9 @@ class RowBasis:
 
     ``occ`` maps each non-pivot column c to a list of pivots q; every stored
     row q with an entry at c is listed there (the list may also name rows
-    that no longer hold c).  Pivot columns have no list.
+    that no longer hold c).  Pivot columns have no list.  ``rows`` keeps
+    insertion order and an accepted row's pivot is new, so after an accepted
+    ``insert`` the new pivot is the last key of ``rows``.
     """
 
     def __init__(self, ncols: int, domain=ZZDomain):
@@ -295,15 +297,37 @@ class RowBasis:
         return row
 
     def insert(self, row):
-        """Grow the span by row; True iff row was outside the previous span."""
+        """Grow the span by row; True iff row was outside the previous span.
+
+        A unit row (one nonzero entry) at a column without a row is already
+        reduced: it goes in as ``{c: one}`` and back-substitution only deletes
+        c from the rows listed under it.  A unit row at a pivot holding a unit
+        row lies in the span.
+        """
+        dom = self.domain
+        rows, occ = self.rows, self.occ
+        if len(row) == 1:
+            r = dom.canonical_copy(row)
+            if not r:
+                return False
+            (p,) = r
+            s = rows.get(p)
+            if s is None:
+                for q in occ.pop(p, ()):
+                    s = rows[q]
+                    if p in s:
+                        del s[p]
+                        dom.reduce_row(s)
+                rows[p] = {p: dom.one}
+                return True
+            if len(s) == 1:
+                return False
         r = self._reduce(row)
         if not r:
             return False
-        dom = self.domain
         p = min(r)
         self._orient(dom.reduce_row_full(r), p)
         # back-substitute the new pivot out of the older rows that hold it
-        rows, occ = self.rows, self.occ
         for q in occ.pop(p, ()):
             s = rows[q]
             if p not in s:

@@ -1,6 +1,7 @@
 """Consequence spaces: dimensions, membership, equivalence, stability."""
 
 import gc
+import hashlib
 import itertools
 import sys
 import weakref
@@ -276,6 +277,63 @@ def test_depolarize_variety_spans_polarized_image():
 def test_extended_arity_six():
     assert dim_multilinear(variety("anti-poisson"), 6) == 145
     assert dim_multilinear(variety("mixed-poisson"), 6) == 121
+
+
+# sha256 of repr(canonical_rows()) at arity 6: placing whole association
+# types at once must leave these canonical spaces identical.  delta-poisson at
+# d=-1 is anti-poisson's own space (same identities and d, one cache key), so
+# the third build is delta-mixed-poisson at d=-1, whose span is mixed-poisson's
+ARITY6_DIGESTS = {
+    ("anti-poisson", None): "fa9e8f99ae66a4a70e27bf7038a6922b105400f774bde4c8c05ba72a01c58f63",
+    ("mixed-poisson", None): "e53015c0afefc09f448a4bf69f6e156f51ade568dafc55377d845be41447f8aa",
+    ("delta-mixed-poisson", -1):
+        "e53015c0afefc09f448a4bf69f6e156f51ade568dafc55377d845be41447f8aa",
+}
+
+
+@pytest.mark.parametrize("name,delta", sorted(ARITY6_DIGESTS, key=str))
+def test_arity6_spaces_are_pinned(name, delta):
+    basis = consequences(variety(name, delta=delta), 6).basis
+    digest = hashlib.sha256(repr(basis.canonical_rows()).encode()).hexdigest()
+    assert digest == ARITY6_DIGESTS[name, delta]
+
+
+@pytest.mark.parametrize("name", variety_names())
+def test_unit_rows_fill_whole_association_types(name):
+    # the span is S_n-invariant and a type is one orbit, so a type holds all
+    # of its columns as unit rows or none
+    v = variety(name)
+    for n in range(1, 6):
+        rows = consequences(v, n).basis.rows
+        units = {p for p, row in rows.items() if len(row) == 1}
+        for block in set(get_context(v.ops, n).type_blocks()):
+            assert len(units.intersection(block)) in (0, len(block)), (n, block)
+
+
+def test_type_blocks_are_contiguous_orbits():
+    # dot+bracket has 4, 14, 44 and 164 association types at n = 3..6
+    for n, count in zip(range(3, 7), (4, 14, 44, 164)):
+        ctx = MonomialContext(TWO_OPS, n)
+        blocks = ctx.type_blocks()
+        types = list(dict.fromkeys(blocks))
+        assert len(types) == count and len(blocks) == len(ctx.monomials)
+        assert sum(len(b) for b in types) == len(ctx.monomials)
+        assert [b.start for b in types] == [0] + [b.stop for b in types[:-1]]
+        tables = ctx.perm_generator_tables()
+        for block in types:
+            key = ctx.monomials[block.start].key[:2]
+            assert all(ctx.monomials[c].key[:2] == key for c in block)
+            # closed under both generators, and one orbit: reached from its start
+            seen, todo = {block.start}, [block.start]
+            while todo:
+                c = todo.pop()
+                for table in tables:
+                    j = table[c][0]
+                    assert j in block
+                    if j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            assert len(seen) == len(block)
 
 
 def _reference_levels(v, top):

@@ -144,6 +144,62 @@ def test_insert_drops_zero_int_entries():
     assert basis.rank == 2
 
 
+def _unit_row_checks(basis, to_field):
+    """Each stored row equals the dense RREF of every row inserted so far."""
+    inserted = []
+
+    def insert(row, expect):
+        assert basis.insert(row) is expect
+        inserted.append(row)
+        # integer content divided out, checked before field_rows finalizes
+        content = pcontent if basis.domain is PolyDomain else abs
+        assert all(math.gcd(*map(content, r.values())) == 1 for r in basis.rows.values())
+        assert basis.field_rows() == dense_rref(inserted, basis.ncols, to_field)
+        for p, r in basis.rows.items():
+            assert min(r) == p and not any(q in r for q in basis.rows if q != p)
+    return insert
+
+
+@pytest.mark.parametrize("poly", [False, True])
+def test_insert_unit_rows_against_the_dense_reference(poly, monkeypatch):
+    domain, to_field = (PolyDomain, RationalFunction) if poly else (ZZDomain, F)
+
+    def e(v):  # an entry: ints, or constant polynomials over Z[d]
+        return (v,) if poly else v
+
+    basis = RowBasis(6, domain)
+    insert = _unit_row_checks(basis, to_field)
+    insert({0: e(2), 3: e(1), 5: e(4)}, True)
+    insert({1: e(1), 3: e(-1), 4: e(2)}, True)
+    # a unit row at a column without a row: back-substituted out of the rows
+    # occ lists under it, which are divided by their content afterwards
+    insert({3: e(-5)}, True)
+    assert basis.rows[0] == {0: e(1), 5: e(2)} and 3 not in basis.occ
+    # a unit row at a pivot whose row is not a unit row
+    insert({1: e(7)}, True)
+    assert basis.rows[1] == {1: e(1)} and basis.rows[4] == {4: e(1)}
+    # a unit row at a pivot holding a unit row is in the span
+    insert({4: e(-3)}, False)
+    # at a fresh column, or at a unit row's pivot, no reduction runs
+    monkeypatch.setattr(RowBasis, "_reduce", None)
+    insert({2: e(9)}, True)
+    insert({3: e(1)}, False)
+
+
+def test_insert_unit_rows_read_the_canonical_entry():
+    for domain, zeros in ((ZZDomain, (0,)), (PolyDomain, ((), (0,), (0, 0)))):
+        for zero in zeros:
+            basis = RowBasis(3, domain)
+            assert not basis.insert({1: zero})
+            assert basis.rows == {} and basis.occ == {}
+    poly = RowBasis(3, PolyDomain)
+    insert = _unit_row_checks(poly, RationalFunction)
+    insert({0: (1,), 1: (0, 1)}, True)
+    insert({1: (3, 0)}, True)  # 3, with a trailing zero coefficient
+    assert poly.rows == {0: {0: (1,)}, 1: {1: (1,)}}
+    insert({1: (0, 0, 2)}, False)  # 2*d^2: a unit of Q(d)
+
+
 def test_copy_is_independent():
     rows = [{0: 1, 2: 1}, {1: 1, 2: 1}]   # both rows hold non-pivot column 2
 
@@ -167,10 +223,11 @@ def test_copy_is_independent():
 
 
 def _fill_and_cancel_rows(rng, ncols, poly):
-    """Dense random rows plus combinations of them.
+    """Dense random rows plus combinations of them, and a few unit rows.
 
     The combinations make inserts reject and entries cancel to zero during
-    back-substitution; the density makes back-substitution fill columns.
+    back-substitution; the density makes back-substitution fill columns.  The
+    unit rows take the path of ``insert`` that skips reduction.
     """
     def entry():
         if poly:
@@ -194,6 +251,9 @@ def _fill_and_cancel_rows(rng, ncols, poly):
         combo = {c: combine(a.get(c, zero), b.get(c, zero), ka, kb)
                  for c in set(a) | set(b)}
         rows.append({c: v for c, v in combo.items() if v})
+    for _ in range(rng.randint(0, 2)):
+        unit = rng.choice([(-2,), (1,), (0, 3)] if poly else [-2, 1, 3])
+        rows.append({rng.randrange(ncols): unit})
     rng.shuffle(rows)
     return [r for r in rows if r]
 
