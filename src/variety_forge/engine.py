@@ -20,6 +20,13 @@ once instead of finding them image by image.  Lifts commute with S_{n-1} up
 to relabelling the lift (sigma L_i = L_sigma(i) sigma), so a whole type of
 level n-1 is lifted through one of its columns.
 
+A ``MonomialContext`` knows the column range of every type before it
+enumerates any monomial, and enumerates a type only when a row entry needs
+one of its columns.  A killed type needs none: its unit rows go in by range,
+the kill of a lifted type reads only the type of the image, and an image
+entry that lands in a killed type is dropped, since the type's unit rows
+would eliminate it.  At n = 6 anti-Poisson enumerates 18 of its 164 types.
+
 Rows live over Q when the variety carries no free parameter (or d is
 specialized to a rational), and over Q(d) otherwise: ``Variety.domain`` makes
 that choice once.  See linalg for the fraction-free representation.
@@ -27,19 +34,24 @@ that choice once.  See linalg for the fraction-free representation.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import os
+import weakref
 from fractions import Fraction
 
 from .exprs import format_element, parse_expr
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
-from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, PLAIN, Element, OpSymbol,
-                    Permutation, TermError, depolarize_expr, enumerate_coded,
-                    ops_table)
+from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, PLAIN, Element, Monomial,
+                    OpSymbol, Permutation, TermError, depolarize_expr, ops_table,
+                    proper_subtrees)
 
-# arity 7 is out of reach in either mode: building its context alone takes
-# about 9 s and 480 MB, before any row is inserted
+# arity 7 is not promised in either mode.  Its context (type list and
+# proper-subtree registry) takes about 1.3 s and 100 MB, and AP(7) and MP(7)
+# take 7-11 s and 350-380 MB, but a variety whose span holds no unit rows
+# (jordan-bracket, transposed-poisson) already takes 17-19 s at arity 6
 MAX_ARITY = 6
 
 
@@ -105,52 +117,170 @@ _CONTEXTS = {}
 
 
 class MonomialContext:
-    """The canonical monomials of one arity and the index maps on them.
+    """The canonical monomials of one arity, by association type, and the
+    index maps on them.
 
-    ``nodes`` codes every canonical subtree over every subset of 1..n as in
-    ``terms.enumerate_coded``: ids below ``len(monomials)`` are column
-    indices, and a proper subtree's children have smaller ids than it.
-    ``node_id`` inverts ``nodes``.  An index map is built by one pass over the
-    ids: the image of a node is the join of its children's images, found by
-    lookup alone, so no tree is renormalised.  A signed image is ``~id``.
-    The monomial keys share their interned shape, op-word and leaf-word
-    tuples, which pays for the memory of the subtree registry.
+    Built at once: the registry of every canonical subtree over every proper
+    subset of 1..n (``terms.proper_subtrees``), where ``nodes[i]`` codes
+    node i as a leaf label or (op_name, left_id, right_id), children first,
+    and ``node_id`` inverts ``nodes``; and the sorted association types of
+    the arity-n monomials.  A type is op(A, B), the monomials op(a, b) with
+    subtrees a of kind A and b of kind B over complementary leaf sets, where
+    the kind of a subtree is its shape and op-word.  Type sizes are counted,
+    not enumerated, so ``offsets[t]`` is the first column of type t and
+    ``ncols`` the number of columns.
+
+    Built on demand: a type's monomials are enumerated the first time a
+    column in it is needed, sorted by leaf-word, and take the columns
+    ``offsets[t]`` + rank.  That is the order of the monomial keys, which
+    sort by type first.  ``monomials`` enumerates every type on first
+    access; ``index`` maps a monomial to its column and learns each
+    monomial when it is first looked up.
+
+    An index map (``_IndexMap``) is filled column by column.  The images of
+    the proper subtrees come from one pass over the registry, each the join
+    of its children's images found by lookup alone, and a column's image is
+    the join of its two children's images, so no tree is renormalised.  A
+    signed node id is ``~id`` for the negated node.
     """
 
     def __init__(self, ops, n):
         self.ops = tuple(ops)
         self.n = n
         self.table = ops_table(ops)
-        self.monomials, self.nodes = enumerate_coded(n, ops)
+        coder = proper_subtrees(n, ops)
+        self.nodes = coder.codes
         self.node_id = {code: i for i, code in enumerate(self.nodes)}
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self._keys, self._trees = coder.keys, coder.trees
+        # the kind of each proper node, and the nodes by leaf set and kind
+        kinds = {}
+        self._kind = [kinds.setdefault(key[:2], len(kinds)) for key in self._keys]
+        self._groups = {}
+        for leafset, ids in coder.by_leafset.items():
+            for i in ids:
+                self._groups.setdefault((leafset, self._kind[i]), []).append(i)
+        self._kind_size = [shape.count(1) for shape, _ in kinds]
+        types, sizes = self._count_types(list(kinds))
+        self._type_keys = [key for key, _ in types]
+        self._type_specs = [spec for _, spec in types]
+        self._type_of_key = {key: t for t, key in enumerate(self._type_keys)}
+        self._type_of_spec = {spec: t for t, spec in enumerate(self._type_specs)}
+        self.offsets = list(itertools.accumulate(sizes, initial=0))
+        self.ncols = self.offsets[-1]
+        self._words = {}                           # interned leaf-words
+        self._codes = [None] * len(types)          # per type: codes by rank
+        self._columns = [None] * len(types)        # per type: leaf-word -> column
+        self.index = _ColumnIndex(self)
+        self._monomials = None
         self._perm_tables = None
         self._lift_tables = None
-        self._type_blocks = None
+
+    def _count_types(self, kinds):
+        """Sorted [((shape, op-word), (op_name, A, B))], and the type sizes.
+
+        A kind of size k occurs over each k-subset of 1..n equally often, so
+        op(A, B) with |A| = k has C(n, k) * #A * #B monomials, where #A
+        counts A over one k-set; halved for an (anti)symmetric op with A = B,
+        whose two children come in one order.
+        """
+        n = self.n
+        if n == 1:
+            return [(((1,), ()), None)], [1]
+        size = self._kind_size
+        per_set = [0] * len(kinds)
+        for k in self._kind:
+            per_set[k] += 1
+        by_size = {}
+        for k, s in enumerate(size):
+            per_set[k] //= math.comb(n, s)
+            by_size.setdefault(s, []).append(k)
+        found = []
+        for op in self.ops:
+            for a, (sa, oa) in enumerate(kinds):
+                for b in by_size[n - size[a]]:
+                    sb, ob = kinds[b]
+                    if op.symmetry != NONE and (sa, oa) > (sb, ob):
+                        continue  # canonical form puts the children the other way
+                    count = math.comb(n, size[a]) * per_set[a] * per_set[b]
+                    if a == b and op.symmetry != NONE:
+                        count //= 2
+                    found.append((((0,) + sa + sb, (op.name,) + oa + ob),
+                                  (op.name, a, b), count))
+        found.sort()
+        return [(key, spec) for key, spec, _ in found], [c for _, _, c in found]
+
+    def _type_columns(self, t):
+        """Leaf-word -> column for type t, enumerating the type the first time."""
+        columns = self._columns[t]
+        if columns is None:
+            n = self.n
+            if n == 1:
+                found = [((1,), 1)]
+            else:
+                name, a, b = self._type_specs[t]
+                keys, groups, words = self._keys, self._groups, self._words
+                unordered = a == b and self.table[name] != NONE
+                full = frozenset(range(1, n + 1))
+                found = []
+                for left in itertools.combinations(range(1, n + 1), self._kind_size[a]):
+                    left = frozenset(left)
+                    ys = groups[full - left, b]
+                    for x in groups[left, a]:
+                        wx = keys[x][2]
+                        for y in ys:
+                            wy = keys[y][2]
+                            if unordered and wx > wy:
+                                continue  # not canonical: the children swap
+                            w = wx + wy
+                            found.append((words.setdefault(w, w), (name, x, y)))
+                found.sort()
+            start = self.offsets[t]
+            self._codes[t] = [code for _, code in found]
+            columns = self._columns[t] = {w: start + r for r, (w, _) in enumerate(found)}
+        return columns
+
+    def type_of(self, c):
+        """The type of column c."""
+        return bisect.bisect_right(self.offsets, c) - 1
+
+    def type_of_monomial(self, m):
+        """The type of the monomial m, read from its key."""
+        shape, ops, _ = m.key
+        return self._type_of_key[shape, ops]
 
     def type_blocks(self):
-        """Per column, the column range of its association type.
+        """The column range of every type, in type order.
 
-        The association type of a monomial is its shape and op-word, the
-        first two parts of its key.  Relabelling the leaves keeps both (two
-        children whose order the leaves decide have equal shape and op-word),
-        and any two monomials of one type differ by a relabelling, so each
-        type is one S_n orbit; the keys sort by type first, so its columns
-        are one contiguous range.
+        The association type of a monomial is its shape and op-word.
+        Relabelling the leaves keeps both (two children whose order the
+        leaves decide have equal shape and op-word), and any two monomials of
+        one type differ by a relabelling, so each type is one S_n orbit.
         """
-        if self._type_blocks is None:
-            blocks = []
-            monomials = self.monomials
-            start = 0
-            for i in range(1, len(monomials) + 1):
-                if i == len(monomials) or monomials[i].key[:2] != monomials[start].key[:2]:
-                    blocks.extend([range(start, i)] * (i - start))
-                    start = i
-            self._type_blocks = blocks
-        return self._type_blocks
+        offsets = self.offsets
+        return [range(offsets[t], offsets[t + 1]) for t in range(len(offsets) - 1)]
+
+    def _code(self, c):
+        """The code of column c: (op_name, left_id, right_id), or 1 at n = 1."""
+        t = self.type_of(c)
+        self._type_columns(t)
+        return self._codes[t][c - self.offsets[t]]
+
+    @property
+    def monomials(self):
+        """Every monomial, in column order."""
+        if self._monomials is None:
+            n, trees = self.n, self._trees
+            out = []
+            for t, (shape, ops) in enumerate(self._type_keys):
+                for word, code in zip(self._type_columns(t), self._codes[t]):
+                    tree = code if n == 1 else (code[0], trees[code[1]], trees[code[2]])
+                    out.append(Monomial(tree, n, (shape, ops, word)))
+            self._monomials = out
+        return self._monomials
 
     def _join(self, name, a, b):
-        """Signed id of the canonical form of name(a, b), a and b signed ids."""
+        """Signed id of the canonical form of name(a, b) over a proper subset,
+        a and b signed ids."""
         neg = False
         if a < 0:
             a, neg = ~a, True
@@ -164,23 +294,31 @@ class MonomialContext:
                 neg = not neg
         return ~i if neg else i
 
-    def _images(self, leaf_image, target):
-        """Signed target ids of all nodes, given the images of the leaves."""
-        nodes = self.nodes
-        join = target._join
-        img = [0] * len(nodes)
-        top = len(self.monomials)
-        # children before parents: proper subtrees in id order, then the top
-        for i in itertools.chain(range(top, len(nodes)), range(top)):
-            code = nodes[i]
-            if code.__class__ is int:
-                img[i] = leaf_image[code]
-            else:
-                img[i] = join(code[0], img[code[1]], img[code[2]])
-        return img
+    def _locate(self, name, a, b):
+        """(type, leaf-word, negated) of the canonical form of name(a, b) over
+        all of 1..n, a and b signed ids; the type is not enumerated."""
+        neg = False
+        if a < 0:
+            a, neg = ~a, True
+        if b < 0:
+            b, neg = ~b, not neg
+        keys = self._keys
+        symmetry = self.table[name]
+        if symmetry != NONE and keys[a] > keys[b]:
+            a, b = b, a
+            if symmetry == ANTISYMMETRIC:
+                neg = not neg
+        kind = self._kind
+        return (self._type_of_spec[name, kind[a], kind[b]], keys[a][2] + keys[b][2], neg)
 
-    def _index_map(self, images):
-        return [(j, 1) if j >= 0 else (~j, -1) for j in images[:len(self.monomials)]]
+    def _images(self, leaf_image, target):
+        """Signed target ids of all proper nodes, given the images of the leaves."""
+        join = target._join
+        img = []
+        for code in self.nodes:
+            img.append(leaf_image[code] if code.__class__ is int
+                       else join(code[0], img[code[1]], img[code[2]]))
+        return img
 
     def perm_generator_tables(self):
         """Index maps for the S_n generators (1 2) and (1 2 ... n)."""
@@ -192,7 +330,7 @@ class MonomialContext:
                 gens.append(Permutation.cycle(self.n))
             leaf = self.node_id
             self._perm_tables = [
-                self._index_map(self._images(
+                _IndexMap(self, self, self._images(
                     {i: leaf[s(i)] for i in range(1, self.n + 1)}, self))
                 for s in gens]
         return self._perm_tables
@@ -201,24 +339,93 @@ class MonomialContext:
         """Index maps arity n -> n+1 for all elementary consequence steps.
 
         Per operation and orientation: multiplication by the fresh variable,
-        then the substitutions x_i <- op(x_i, x_{n+1}) for i = 1..n.
+        then the substitutions x_i <- op(x_i, x_{n+1}) for i = 1..n.  At
+        n = 1 the substitution is the multiplication.
         """
         if self._lift_tables is None:
-            join = target._join
-            same = {i: target.node_id[i] for i in range(1, self.n + 1)}
-            fresh = target.node_id[self.n + 1]
-            embedded = self._images(same, target)[:len(self.monomials)]
+            n = self.n
+            same = {i: target.node_id[i] for i in range(1, n + 1)}
+            fresh = target.node_id[n + 1]
+            embedded = self._images(same, target)
             tables = []
             for op in self.ops:
                 for flip in ((False,) if op.symmetry != NONE else (False, True)):
-                    def times_fresh(a):
-                        return join(op.name, fresh, a) if flip else join(op.name, a, fresh)
-                    tables.append(self._index_map([times_fresh(m) for m in embedded]))
-                    for i in range(1, self.n + 1):
-                        tables.append(self._index_map(self._images(
-                            {**same, i: times_fresh(same[i])}, target)))
+                    times_fresh = (op.name, flip)
+                    tables.append(_IndexMap(self, target, embedded, times_fresh))
+                    for i in range(1, n + 1):
+                        if n == 1:
+                            tables.append(_IndexMap(self, target, embedded, times_fresh))
+                        else:
+                            g = (target._join(op.name, fresh, same[i]) if flip
+                                 else target._join(op.name, same[i], fresh))
+                            tables.append(_IndexMap(self, target,
+                                                    self._images({**same, i: g}, target)))
             self._lift_tables = tables
         return self._lift_tables
+
+
+class _ColumnIndex(dict):
+    """Monomial -> column, filled on first lookup of each monomial.
+
+    The context is held by a weak reference, since it holds this index.
+    """
+
+    __slots__ = ("_context",)
+
+    def __init__(self, context):
+        self._context = weakref.ref(context)
+
+    def __missing__(self, m):
+        ctx = self._context()
+        c = self[m] = ctx._type_columns(ctx.type_of_monomial(m))[m.key[2]]
+        return c
+
+
+class _IndexMap(dict):
+    """An index map column -> (image column, sign), filled on first lookup.
+
+    ``img`` holds the target images of the source's proper nodes.  Without
+    ``times_fresh`` a column op(a, b) maps to op(img[a], img[b]); with
+    ``times_fresh`` = (op_name, flip) it maps to op_name(e, x_{n+1}), or
+    op_name(x_{n+1}, e) if flip, where e is op(img[a], img[b]), the column
+    embedded in the target.  ``type_of`` gives the type of an image without
+    enumerating it.  Both contexts are held by weak references: a context
+    keeps its tables, so a table keeping its context would be a cycle.
+    """
+
+    __slots__ = ("_source", "_target", "_img", "_times_fresh", "_located")
+
+    def __init__(self, source, target, img, times_fresh=None):
+        self._source = weakref.ref(source)
+        self._target = weakref.ref(target)
+        self._img = img
+        self._times_fresh = times_fresh
+        self._located = {}  # column -> (type, leaf-word, negated) of its image
+
+    def _locate(self, c):
+        located = self._located.get(c)
+        if located is None:
+            code, img, target = self._source()._code(c), self._img, self._target()
+            if self._times_fresh is None:
+                image = (code[0], img[code[1]], img[code[2]])
+            else:
+                e = (target.node_id[code] if code.__class__ is int
+                     else target._join(code[0], img[code[1]], img[code[2]]))
+                name, flip = self._times_fresh
+                fresh = target.node_id[target.n]
+                image = (name, fresh, e) if flip else (name, e, fresh)
+            located = self._located[c] = target._locate(*image)
+        return located
+
+    def type_of(self, c):
+        """The type of the image of column c."""
+        return self._locate(c)[0]
+
+    def __missing__(self, c):
+        t, word, neg = self._locate(c)
+        j = self._target()._type_columns(t)[word]
+        entry = self[c] = (j, -1) if neg else (j, 1)
+        return entry
 
 
 def get_context(ops, n) -> MonomialContext:
@@ -232,9 +439,13 @@ def get_context(ops, n) -> MonomialContext:
 # ---------------------------------------------------------------------------
 # rows
 
-def element_to_row(e: Element, ctx: MonomialContext, delta, domain):
-    """Write an element as a denominator-free row in ctx's column order."""
+def element_to_row(e: Element, ctx: MonomialContext, delta, domain, killed=()):
+    """Write an element as a denominator-free row in ctx's column order,
+    without its terms in a type in killed (each is evaluated first, so a
+    pole at delta still raises)."""
     terms = e.terms if delta is None else {m: c.eval_at(delta) for m, c in e.terms.items()}
+    if killed:
+        terms = {m: c for m, c in terms.items() if ctx.type_of_monomial(m) not in killed}
     return to_row({ctx.index[m]: c for m, c in terms.items()}, domain)
 
 
@@ -252,9 +463,13 @@ def row_to_element(entries, monomials, arity) -> Element:
     return Element(arity, terms)
 
 
-def apply_index_map(row, table, neg):
+def apply_index_map(row, table, neg, killed=()):
+    """The image of row under an index map, without the entries whose image
+    lies in a type in killed (the unit rows of such a type eliminate them)."""
     out = {}
     for c, v in row.items():
+        if killed and table.type_of(c) in killed:
+            continue
         j, s = table[c]
         out[j] = v if s == 1 else neg(v)
     return out
@@ -266,11 +481,29 @@ def apply_index_map(row, table, neg):
 class ConsequenceSpace:
     """The multilinear degree-n component of a variety's ideal of consequences."""
 
-    def __init__(self, variety, n, monomials, basis):
+    def __init__(self, variety, n, context, basis):
         self.variety = variety
         self.n = n
-        self.monomials = monomials
+        self.context = context
         self.basis = basis
+        self._unit_types = None
+
+    def unit_types(self):
+        """The types all of whose columns hold unit rows.
+
+        A type holds unit rows at all of its columns or at none, since the
+        span is S_n-invariant, so its first column decides.
+        """
+        if self._unit_types is None:
+            rows = self.basis.rows
+            self._unit_types = frozenset(
+                t for t, c in enumerate(self.context.offsets[:-1])
+                if len(rows.get(c, ())) == 1)
+        return self._unit_types
+
+    @property
+    def monomials(self):
+        return self.context.monomials
 
     @property
     def rank(self):
@@ -278,11 +511,11 @@ class ConsequenceSpace:
 
     @property
     def dim(self):
-        return len(self.monomials) - self.rank
+        return self.context.ncols - self.rank
 
     def __repr__(self):
         return "ConsequenceSpace(n=%d, rank=%d of %d, delta=%s)" % (
-            self.n, self.rank, len(self.monomials), self.variety.delta)
+            self.n, self.rank, self.context.ncols, self.variety.delta)
 
 
 _SPACE_CACHE = {}
@@ -314,7 +547,7 @@ def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
     space = _SPACE_CACHE.get(key)
     if space is None:
         space = _SPACE_CACHE[key] = ConsequenceSpace(
-            v, n, get_context(v.ops, n).monomials, _build_basis(v, n))
+            v, n, get_context(v.ops, n), _build_basis(v, n))
     return space
 
 
@@ -380,20 +613,28 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     through every lift table, and the type each image lands in is killed;
     by sigma L_i = L_sigma(i) sigma the lifts of the other columns land in
     the same types.  The other rows of level n-1 are lifted one by one.
+
+    Every candidate drops its entries in killed types (``apply_index_map``).
+    The unit rows there would eliminate exactly those entries, so each
+    insert reduces to the same row and is accepted or rejected as before.
+    A queued row may keep entries in a type killed after it was queued, but
+    its images differ from the images of the row without them by vectors in
+    killed types, since a permutation maps each type to itself.  So neither
+    the span nor any basis state changes, and a type killed before any
+    candidate reaches it is never enumerated.
     """
     domain = v.domain
     ctx = get_context(v.ops, n)
-    basis = RowBasis(len(ctx.monomials), domain)
+    basis = RowBasis(ctx.ncols, domain)
     rows, neg, one = basis.rows, domain.neg, domain.one
     blocks = ctx.type_blocks()
     killed = set()
 
-    def kill(col):
-        """Insert the unit rows of col's association type."""
-        block = blocks[col]
-        if block not in killed:
-            killed.add(block)
-            for c in block:
+    def kill(t):
+        """Insert the unit rows of type t."""
+        if t not in killed:
+            killed.add(t)
+            for c in blocks[t]:
                 basis.insert({c: one})
 
     def place(row):
@@ -402,7 +643,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             return False
         p = next(reversed(rows))  # an accepted row's pivot is the last key
         if len(rows[p]) == 1:
-            kill(p)
+            kill(ctx.type_of(p))
             return False
         return True
 
@@ -417,15 +658,15 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
         prev = consequences(v, n - 1)
         prev_ctx = get_context(v.ops, n - 1)
         lifts = prev_ctx.lift_tables(ctx)
-        for block in dict.fromkeys(prev_ctx.type_blocks()):
-            s = prev.basis.rows.get(block.start)
+        for start in prev_ctx.offsets[:-1]:
+            s = prev.basis.rows.get(start)
             if s is not None and len(s) == 1:
                 for table in lifts:
-                    kill(table[block.start][0])
+                    kill(table.type_of(start))
         for table in lifts:
             for row in prev.basis.rows.values():
                 if len(row) > 1:
-                    img = apply_index_map(row, table, neg)
+                    img = apply_index_map(row, table, neg, killed)
                     if place(img):
                         queue.append((img, n < 3))
     tables = ctx.perm_generator_tables()
@@ -434,7 +675,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
         for k, table in enumerate(tables):
             if k == 0 and not swap_new:
                 continue
-            img = apply_index_map(row, table, neg)
+            img = apply_index_map(row, table, neg, killed)
             if place(img):
                 queue.append((img, k != 0))
     return basis
@@ -449,7 +690,9 @@ def is_consequence(v: Variety, target: Element, n: int, mode: str = "exact") -> 
     """True iff target lies in the span of consequences(v, n, mode).
 
     The target is specialised at the space's own d, which in sampled mode is
-    the sample point.
+    the sample point.  In exact mode its terms in a type of unit rows are
+    dropped before their columns are looked up: those rows reduce them to
+    zero, and the query enumerates no such type.
     """
     if target.arity != n:
         raise EngineError("target arity %d does not match n=%d" % (target.arity, n))
@@ -463,12 +706,13 @@ def is_consequence(v: Variety, target: Element, n: int, mode: str = "exact") -> 
         # line over Q(d), and has neither a pole nor a common root there
         prim = PolyDomain.reduce_row_full(element_to_row(target, ctx, None, PolyDomain))
         return basis.contains(to_row({c: peval(p, delta) for c, p in prim.items()}, ZZDomain))
+    units = space.unit_types()
     try:
-        row = element_to_row(target, ctx, delta, basis.domain)
+        row = element_to_row(target, ctx, delta, basis.domain, units)
     except ValueError:
         # d-dependent target against a d-free span: membership holds iff each
         # d-power component lies in the span separately
-        poly_row = element_to_row(target, ctx, None, PolyDomain)
+        poly_row = element_to_row(target, ctx, None, PolyDomain, units)
         maxdeg = max(pdeg(p) for p in poly_row.values())
         for i in range(maxdeg + 1):
             comp = {c: p[i] for c, p in poly_row.items() if pdeg(p) >= i and p[i]}

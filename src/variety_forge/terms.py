@@ -7,11 +7,11 @@ Canonical form orders the children of every symmetric or antisymmetric node by
 the fixed total order on subtrees (shape, then operation labels, then the leaf
 word); reordering under an antisymmetric node flips the sign.
 
-Enumeration (``enumerate_coded``) also gives every canonical subtree over
-every nonempty subset of 1..n an integer id.  The arity-n monomials take ids
-0..N-1 in the total order, so an id is a column index; the proper subtrees
-follow, each after its children.  The keys of enumerated monomials intern
-their shape, op-word and leaf-word tuples: equal tuples are one shared object.
+Enumeration goes through ``SubtreeCoder``, which gives every canonical
+subtree over a set of leaves an integer id, each after its children, and
+interns the parts of the keys (shape, op-word, leaf-word): equal tuples are
+one shared object.  ``proper_subtrees`` codes the subtrees over every proper subset of
+1..n, the registry an arity-n monomial context is built on.
 
 Elements are finite sums of canonical monomials with coefficients in Q(d);
 an identity is an element asserted to vanish.
@@ -404,61 +404,42 @@ def enumerate_monomials(n: int, ops) -> list:
 
     For k operations all carrying a symmetry the count is (2n-3)!! * k^(n-1).
     """
-    return enumerate_coded(n, ops)[0]
-
-
-def enumerate_coded(n: int, ops):
-    """Canonical monomials of arity n and an integer code for every subtree.
-
-    Returns (monomials, nodes).  ``nodes`` holds every canonical subtree over
-    every nonempty subset of 1..n, each once: a leaf as its label, any other
-    subtree as ``(op_name, left_id, right_id)``.  Ids 0..len(monomials)-1 are
-    the arity-n monomials in the total order (their column indices); the
-    proper subtrees follow, each after its children.
-
-    The shape, op-word and leaf-word tuples of the monomial keys are interned:
-    equal tuples are one object, and there are few distinct ones (for dot and
-    bracket at n=6, 6 shapes, 32 op-words and 360 leaf-words over 30240
-    monomials), so the keys take little memory.
-    """
     if n < 1:
         raise TermError("arity must be positive")
-    coder = _SubtreeCoder(ops)
-    top = coder.subtrees(frozenset(range(1, n + 1)))
-    keys, trees, codes = coder.keys, coder.trees, coder.codes
-    top.sort(key=keys.__getitem__)
-    # the coder records a subtree only after its children, so keeping that
-    # order for the proper subtrees keeps every child before its parent
-    at_top = set(top)
-    order = top + [t for t in range(len(codes)) if t not in at_top]
-    new_id = [0] * len(order)
-    for i, t in enumerate(order):
-        new_id[t] = i
-    nodes = []
-    for t in order:
-        code = codes[t]
-        if code.__class__ is not int:
-            code = (code[0], new_id[code[1]], new_id[code[2]])
-        nodes.append(code)
-    return [Monomial(trees[t], n, keys[t]) for t in top], nodes
+    coder = SubtreeCoder(ops)
+    top = sorted(coder.subtrees(frozenset(range(1, n + 1))), key=coder.keys.__getitem__)
+    return [Monomial(coder.trees[t], n, coder.keys[t]) for t in top]
 
 
-class _SubtreeCoder:
-    """Canonical subtrees by leaf set, each recorded once under a temporary id.
+def proper_subtrees(n: int, ops) -> "SubtreeCoder":
+    """A SubtreeCoder holding every canonical subtree over every nonempty
+    proper subset of 1..n, and nothing else."""
+    coder = SubtreeCoder(ops)
+    if n >= 2:
+        full = frozenset(range(1, n + 1))
+        for i in full:
+            coder.subtrees(full - {i})
+    return coder
+
+
+class SubtreeCoder:
+    """Canonical subtrees by leaf set, each recorded once under an id.
 
     Per id: the key (components interned), the nested-tuple tree, and the
-    code, a leaf label or (op_name, left_id, right_id).
+    code, a leaf label or (op_name, left_id, right_id).  Ids count up in the
+    order of recording, which puts every subtree after its children;
+    ``by_leafset`` maps each leaf set coded so far to the ids over it.
     """
 
     def __init__(self, ops):
         self.ops = tuple(ops)
         self.keys, self.trees, self.codes = [], [], []
         self._intern = {}
-        self._by_leafset = {}
+        self.by_leafset = {}
 
     def subtrees(self, leafset):
         """Ids of every canonical subtree over leafset."""
-        out = self._by_leafset.get(leafset)
+        out = self.by_leafset.get(leafset)
         if out is not None:
             return out
         out = []
@@ -485,7 +466,7 @@ class _SubtreeCoder:
                                 out.append(self._node(op.name, x, y))
                             else:
                                 out.append(self._node(op.name, y, x))
-        self._by_leafset[leafset] = out
+        self.by_leafset[leafset] = out
         return out
 
     def _node(self, name, x, y):

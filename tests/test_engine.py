@@ -1,8 +1,10 @@
 """Consequence spaces: dimensions, membership, equivalence, stability."""
 
+import functools
 import gc
 import hashlib
 import itertools
+import math
 import sys
 import weakref
 from fractions import Fraction
@@ -18,8 +20,10 @@ from variety_forge.engine import (ArityOverflowError, EngineError,
                                   parse_variety_text, row_to_element)
 from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
 from variety_forge.scalar import DELTA
-from variety_forge.terms import (Permutation, act, act_monomial, normalize_tree,
-                                 substitute_tree)
+from variety_forge.terms import (BRACKET, DOT, NONE, Element, OpSymbol,
+                                 Permutation, act, act_monomial,
+                                 double_factorial_count, enumerate_monomials,
+                                 normalize_tree, substitute_tree)
 
 from conftest import OP_SETS, TWO_OPS
 
@@ -33,14 +37,39 @@ def test_dimension_table_small():
     assert [dim_multilinear(mp, n) for n in (2, 3, 4)] == [2, 3, 7]
 
 
+def _compose(f, g, order):
+    """f(g(x)) truncated after x^order; coefficient lists from x^0, g[0] = 0."""
+    out = [F(0)] * (order + 1)
+    power = [F(1)] + [F(0)] * order
+    for fi in f[1:]:
+        power = [sum(power[j] * g[k - j] for j in range(k + 1)) for k in range(order + 1)]
+        out = [o + fi * p for o, p in zip(out, power)]
+    return out
+
+
 def test_closed_form_agreement():
     # (n-1)! + (n-2)! + 1 at n=5 over the generic parameter field, and
-    # (n-1)! + 1 for the mixed family through n=5
+    # (n-1)! + 1 for the mixed family through n=6
     assert dim_multilinear(variety("delta-poisson"), 5) == 24 + 6 + 1
     mp = variety("mixed-poisson")
-    for n in (3, 4, 5):
-        import math
+    for n in (3, 4, 5, 6):
         assert dim_multilinear(mp, n) == math.factorial(n - 1) + 1
+    # Poisson is Com o Lie: n! monomials survive
+    poisson = variety("poisson")
+    for n in range(1, 6):
+        assert dim_multilinear(poisson, n) == math.factorial(n)
+    # com-lie is the Koszul dual of mixed-poisson, so with f(x) the
+    # exponential series of mixed-poisson and h its compositional inverse,
+    # dim com-lie(n) = (-1)^(n+1) n! h_n
+    order = 5
+    f = [F(0), F(1)] + [F(math.factorial(n - 1) + 1, math.factorial(n))
+                        for n in range(2, order + 1)]
+    h = [F(0), F(1)] + [F(0)] * (order - 1)
+    for k in range(2, order + 1):
+        h[k] = -_compose(f, h, order)[k]  # f_1 = 1, so h_k enters x^k once
+    com_lie = variety("com-lie")
+    for n in range(1, order + 1):
+        assert dim_multilinear(com_lie, n) == (-1) ** (n + 1) * math.factorial(n) * h[n]
 
 
 def test_empty_variety_has_zero_consequences():
@@ -314,10 +343,9 @@ def test_type_blocks_are_contiguous_orbits():
     # dot+bracket has 4, 14, 44 and 164 association types at n = 3..6
     for n, count in zip(range(3, 7), (4, 14, 44, 164)):
         ctx = MonomialContext(TWO_OPS, n)
-        blocks = ctx.type_blocks()
-        types = list(dict.fromkeys(blocks))
-        assert len(types) == count and len(blocks) == len(ctx.monomials)
-        assert sum(len(b) for b in types) == len(ctx.monomials)
+        types = ctx.type_blocks()
+        assert len(types) == count
+        assert sum(len(b) for b in types) == len(ctx.monomials) == ctx.ncols
         assert [b.start for b in types] == [0] + [b.stop for b in types[:-1]]
         tables = ctx.perm_generator_tables()
         for block in types:
@@ -336,9 +364,59 @@ def test_type_blocks_are_contiguous_orbits():
             assert len(seen) == len(block)
 
 
+@pytest.mark.parametrize("ops,top", [
+    (TWO_OPS, 6), ((OpSymbol("m", NONE),), 6),
+    ((DOT, BRACKET, OpSymbol("wedge", "antisymmetric")), 5)],
+    ids=["dot+bracket", "m", "dot+bracket+wedge"])
+def test_types_enumerate_in_column_order(ops, top):
+    for n in range(1, top + 1):
+        ctx = MonomialContext(ops, n)
+        sizes = [len(block) for block in ctx.type_blocks()]
+        if all(op.symmetry != NONE for op in ops):
+            assert sum(sizes) == double_factorial_count(n, len(ops))
+        else:  # ordered binary trees: Catalan(n-1) shapes times n! labels
+            assert sum(sizes) == math.factorial(2 * n - 2) // math.factorial(n - 1)
+        # the counted sizes are the enumerated ones, and the types one after
+        # the other are the monomials in the total order
+        assert [len(ctx._type_columns(t)) for t in range(len(sizes))] == sizes
+        reference = enumerate_monomials(n, ops)
+        assert ctx.monomials == reference
+        assert [m.tree for m in ctx.monomials] == [m.tree for m in reference]
+        assert all(ctx.index[m] == c for c, m in enumerate(reference))
+
+
+def _enumerated_types(ctx):
+    return [t for t, columns in enumerate(ctx._columns) if columns is not None]
+
+
+@pytest.mark.parametrize("name,types,columns", [
+    ("anti-poisson", 18, 2835), ("mixed-poisson", 12, 1890)])
+def test_arity6_enumerates_only_the_live_types(name, types, columns):
+    # every other type is killed whole, and its columns are never looked up
+    clear_cache()
+    v = variety(name)
+    rows = consequences(v, 6).basis.rows
+    ctx = get_context(v.ops, 6)
+    live = {ctx.type_of(c) for row in rows.values() if len(row) > 1 for c in row}
+    assert _enumerated_types(ctx) == sorted(live)
+    assert len(live) == types
+    assert sum(len(ctx.type_blocks()[t]) for t in live) == columns
+    assert ctx._monomials is None and not ctx.index
+    # a membership query drops its terms in types of unit rows unread
+    units = consequences(v, 6).unit_types()
+    assert len(units) + len(live) == len(ctx.type_blocks())
+    other = MonomialContext(v.ops, 6)
+    m = other.monomials[other.offsets[min(units)]]
+    assert is_consequence(v, Element(6, {m: 1}), 6)
+    assert _enumerated_types(ctx) == sorted(live) and not ctx.index
+
+
 def _reference_levels(v, top):
     """Levels 1..top, each the span of every sigma in S_n applied to the
-    arity-n identities and to the lifts of the previous reference level."""
+    arity-n identities and to the lifts of the previous reference level.
+
+    The permutation tables renormalise every permuted tree, so they share no
+    code with the context's index maps."""
     domain, neg = v.domain, v.domain.neg
     levels, prev = [], None
     for n in range(1, top + 1):
@@ -351,9 +429,7 @@ def _reference_levels(v, top):
                           for row in prev.rows.values()]
         prev = RowBasis(len(ctx.monomials), domain)
         for img in itertools.permutations(range(1, n + 1)):
-            sigma = Permutation(img)
-            leaves = {i: ctx.node_id[sigma(i)] for i in range(1, n + 1)}
-            table = ctx._index_map(ctx._images(leaves, ctx))
+            table = _reference_table(Permutation(img), ctx)
             for row in seeds:
                 prev.insert(engine.apply_index_map(row, table, neg))
         levels.append(prev)
@@ -392,39 +468,54 @@ def test_arity_two_identity_levels_and_the_level_cache(sign, monkeypatch):
 # ---------------------------------------------------------------------------
 # index maps, against tables built by renormalising every tree
 
+@functools.lru_cache(maxsize=None)
+def _reference_columns(ops, n):
+    """The monomials of ``terms.enumerate_monomials`` and monomial -> column."""
+    monomials = enumerate_monomials(n, ops)
+    return monomials, {m: c for c, m in enumerate(monomials)}
+
+
+def _reference_table(sigma, ctx):
+    monomials, index = _reference_columns(ctx.ops, ctx.n)
+    table = []
+    for m in monomials:
+        sign, img = act_monomial(sigma, m, ctx.table)
+        table.append((index[img], sign))
+    return table
+
+
 def _reference_perm_tables(ctx):
     gens = []
     if ctx.n >= 2:
         gens.append(Permutation.transposition(ctx.n, 1, 2))
     if ctx.n >= 3:
         gens.append(Permutation.cycle(ctx.n))
-    tables = []
-    for sigma in gens:
-        table = []
-        for m in ctx.monomials:
-            sign, img = act_monomial(sigma, m, ctx.table)
-            table.append((ctx.index[img], sign))
-        tables.append(table)
-    return tables
+    return [_reference_table(sigma, ctx) for sigma in gens]
 
 
 def _reference_lift_tables(ctx, target):
     fresh = ctx.n + 1
+    monomials = _reference_columns(ctx.ops, ctx.n)[0]
+    index = _reference_columns(target.ops, target.n)[1]
     tables = []
     for op in ctx.ops:
         for flip in ((False,) if op.symmetry != "none" else (False, True)):
             raws = [[(op.name, fresh, m.tree) if flip else (op.name, m.tree, fresh)
-                     for m in ctx.monomials]]
+                     for m in monomials]]
             for i in range(1, ctx.n + 1):
                 g = (op.name, fresh, i) if flip else (op.name, i, fresh)
-                raws.append([substitute_tree(m.tree, i, g) for m in ctx.monomials])
+                raws.append([substitute_tree(m.tree, i, g) for m in monomials])
             for trees in raws:
                 table = []
                 for raw in trees:
                     sign, img = normalize_tree(raw, target.table)
-                    table.append((target.index[img], sign))
+                    table.append((index[img], sign))
                 tables.append(table)
     return tables
+
+
+def _every_column(tables, ctx):
+    return [[table[c] for c in range(ctx.ncols)] for table in tables]
 
 
 @pytest.mark.parametrize("name", sorted(OP_SETS))
@@ -432,16 +523,22 @@ def test_index_maps_match_renormalised_trees(name):
     ops = OP_SETS[name]
     contexts = [MonomialContext(ops, n) for n in range(1, 6)]
     for ctx, target in zip(contexts, contexts[1:] + [None]):
-        assert ctx.perm_generator_tables() == _reference_perm_tables(ctx)
+        assert _every_column(ctx.perm_generator_tables(), ctx) == _reference_perm_tables(ctx)
         if target is not None:
-            assert ctx.lift_tables(target) == _reference_lift_tables(ctx, target)
+            lifts = ctx.lift_tables(target)
+            # the type of an image is read without enumerating any type
+            types = [[table.type_of(c) for c in range(ctx.ncols)] for table in lifts]
+            assert _enumerated_types(target) == []
+            reference = _reference_lift_tables(ctx, target)
+            assert _every_column(lifts, ctx) == reference
+            assert types == [[target.type_of(j) for j, _ in table] for table in reference]
 
 
 def test_index_maps_match_renormalised_trees_at_arity_six():
     ops = variety("anti-poisson").ops
     ctx5, ctx6 = MonomialContext(ops, 5), MonomialContext(ops, 6)
-    assert ctx5.lift_tables(ctx6) == _reference_lift_tables(ctx5, ctx6)
-    assert ctx6.perm_generator_tables() == _reference_perm_tables(ctx6)
+    assert _every_column(ctx5.lift_tables(ctx6), ctx5) == _reference_lift_tables(ctx5, ctx6)
+    assert _every_column(ctx6.perm_generator_tables(), ctx6) == _reference_perm_tables(ctx6)
 
 
 def test_contexts_and_tables_die_with_the_cache():

@@ -10,10 +10,9 @@ from variety_forge.scalar import RF_ONE
 from variety_forge.terms import (BRACKET, DOT, OpSymbol,
                                  Permutation, TermError, act,
                                  double_factorial_count, depolarize_expr,
-                                 enumerate_coded, enumerate_monomials,
-                                 multilinearize,
+                                 enumerate_monomials, multilinearize,
                                  multiply_by_var, normalize, polarize_expr,
-                                 substitute)
+                                 proper_subtrees, substitute)
 
 from conftest import ONE_OP, OP_SETS, TWO_OPS, random_element, seeded
 
@@ -104,33 +103,31 @@ def test_coded_enumeration(name):
     ops = OP_SETS[name]
     names = [op.name for op in ops]
     for n in range(1, 5):
-        monos, nodes = enumerate_coded(n, ops)
+        monos = enumerate_monomials(n, ops)
         # the arity-n monomials are exactly the normalized raw trees, sorted
         seen = set()
         for perm in itertools.permutations(range(1, n + 1)):
             for tree in _ordered_trees(list(perm), names):
                 seen.add(normalize(tree, ops)[1])
-        assert monos == sorted(seen) == enumerate_monomials(n, ops)
+        assert monos == sorted(seen)
         assert [m.key for m in monos] == sorted(m.key for m in monos)
-        top = len(monos)
+        coder = proper_subtrees(n, ops)
+        nodes = coder.codes
         for i, code in enumerate(nodes):
             if isinstance(code, tuple):
-                children = code[1:]
-                if i < top:
-                    assert all(c >= top for c in children)
-                else:
-                    assert all(c < i for c in children)
+                assert all(c < i for c in code[1:])
         trees = [_decode(nodes, i) for i in range(len(nodes))]
-        assert trees[:top] == [m.tree for m in monos]
-        # every canonical subtree over every nonempty subset of 1..n, once
+        assert trees == coder.trees
+        # every canonical subtree over every nonempty proper subset of 1..n, once
         by_leafset = {}
-        for tree in trees:
+        for i, tree in enumerate(trees):
             sign, mono = normalize(tree, ops, fragment=True)
-            assert sign == 1 and mono.tree == tree
-            by_leafset.setdefault(frozenset(mono.leaves()), []).append(tree)
-        assert len(by_leafset) == 2 ** n - 1
+            assert sign == 1 and mono.tree == tree and mono.key == coder.keys[i]
+            by_leafset.setdefault(frozenset(mono.leaves()), []).append(i)
+        assert by_leafset == coder.by_leafset
+        assert len(by_leafset) == 2 ** n - 2
         for leafset, group in by_leafset.items():
-            assert len(set(group)) == len(group) == len(enumerate_monomials(len(leafset), ops))
+            assert len(group) == len(enumerate_monomials(len(leafset), ops))
 
 
 def test_enumerate_order_is_deterministic():
