@@ -44,14 +44,15 @@ from fractions import Fraction
 from .exprs import format_element, parse_expr
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
-from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, PLAIN, Element, Monomial,
-                    OpSymbol, Permutation, TermError, depolarize_expr, ops_table,
-                    proper_subtrees)
+from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element,
+                    Monomial, OpSymbol, Permutation, TermError, depolarize_expr,
+                    ops_table, proper_subtrees)
 
 # arity 7 is not promised in either mode.  Its context (type list and
-# proper-subtree registry) takes about 1.3 s and 100 MB, and AP(7) and MP(7)
-# take 7-11 s and 350-380 MB, but a variety whose span holds no unit rows
-# (jordan-bracket, transposed-poisson) already takes 17-19 s at arity 6
+# proper-subtree registry) takes about 1.3 s and 100 MB, and cold AP(7) and
+# MP(7) builds take 5-8 s and 160-200 MB peak RSS, but a variety whose span
+# holds no unit rows (jordan-bracket, transposed-poisson) already takes
+# 13-15 s at arity 6
 MAX_ARITY = 6
 
 
@@ -495,10 +496,9 @@ class ConsequenceSpace:
         span is S_n-invariant, so its first column decides.
         """
         if self._unit_types is None:
-            rows = self.basis.rows
+            unit = self.basis.unit
             self._unit_types = frozenset(
-                t for t, c in enumerate(self.context.offsets[:-1])
-                if len(rows.get(c, ())) == 1)
+                t for t, c in enumerate(self.context.offsets[:-1]) if unit[c])
         return self._unit_types
 
     @property
@@ -524,6 +524,7 @@ _SPACE_CACHE = {}
 def clear_cache():
     _SPACE_CACHE.clear()
     _CONTEXTS.clear()
+    MONOMIALS.clear()
 
 
 def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
@@ -626,7 +627,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     domain = v.domain
     ctx = get_context(v.ops, n)
     basis = RowBasis(ctx.ncols, domain)
-    rows, neg, one = basis.rows, domain.neg, domain.one
+    unit, neg = basis.unit, domain.neg
     blocks = ctx.type_blocks()
     killed = set()
 
@@ -634,15 +635,14 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
         """Insert the unit rows of type t."""
         if t not in killed:
             killed.add(t)
-            for c in blocks[t]:
-                basis.insert({c: one})
+            basis.insert_unit_range(blocks[t].start, blocks[t].stop)
 
     def place(row):
         """Insert row; True iff it was accepted and is to be queued."""
         if not basis.insert(row):
             return False
-        p = next(reversed(rows))  # an accepted row's pivot is the last key
-        if len(rows[p]) == 1:
+        p = basis.last_pivot
+        if unit[p]:
             kill(ctx.type_of(p))
             return False
         return True
@@ -658,17 +658,16 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
         prev = consequences(v, n - 1)
         prev_ctx = get_context(v.ops, n - 1)
         lifts = prev_ctx.lift_tables(ctx)
+        prev_unit = prev.basis.unit
         for start in prev_ctx.offsets[:-1]:
-            s = prev.basis.rows.get(start)
-            if s is not None and len(s) == 1:
+            if prev_unit[start]:
                 for table in lifts:
                     kill(table.type_of(start))
         for table in lifts:
             for row in prev.basis.rows.values():
-                if len(row) > 1:
-                    img = apply_index_map(row, table, neg, killed)
-                    if place(img):
-                        queue.append((img, n < 3))
+                img = apply_index_map(row, table, neg, killed)
+                if place(img):
+                    queue.append((img, n < 3))
     tables = ctx.perm_generator_tables()
     while queue:
         row, swap_new = queue.pop()

@@ -27,11 +27,18 @@ integral form, whichever factor each step cancelled.  That representation is
 canonical for the row space, which is what makes span comparison a
 structural equality.
 
+A unit row (one nonzero entry) is not stored as a row: it is a flag on its
+column, one byte of ``RowBasis.unit``.  ``rows`` holds only the rows with
+two or more entries, and no stored row holds a flagged column.  A row that
+reduces to one entry, when inserted or by back-substitution, becomes a flag;
+``insert_unit_range`` flags a whole column range in one call.  Readers that
+need every row, unit rows included, go through ``RowBasis.items``.
+
 Beside the rows, RowBasis keeps an occurrence index: for each non-pivot
 column, a list of pivots whose rows may hold an entry there.  It is a
-superset (stale and repeated entries are allowed), so a new pivot is
-back-substituted only out of the rows listed under it rather than out of
-every stored row.
+superset (stale and repeated entries are allowed, and a listed pivot may
+since have become a flag), so a new pivot is back-substituted only out of
+the rows listed under it rather than out of every stored row.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 from .scalar import (PONE, RationalFunction, pcontent, pdeg, pdivexact,
                      pgcd, pmul, pneg, pnormalize, pquo, psub)
@@ -50,8 +58,9 @@ class ZZDomain:
     one = 1
 
     @staticmethod
-    def canonical_copy(row):
-        return {c: v for c, v in row.items() if v}
+    def canonical_copy(row, skip):
+        """row without its zero entries and its entries at columns flagged in skip."""
+        return {c: v for c, v in row.items() if v and not skip[c]}
 
     @staticmethod
     def mul(a, b):
@@ -100,9 +109,13 @@ class PolyDomain:
     lazy_degree = 16  # full polynomial content reduction above this degree
 
     @staticmethod
-    def canonical_copy(row):
+    def canonical_copy(row, skip):
+        """row with normalized entries, without its zero entries and its
+        entries at columns flagged in skip."""
         out = {}
         for c, v in row.items():
+            if skip[c]:
+                continue
             if v and not v[-1]:
                 v = pnormalize(v)
             if v:
@@ -211,30 +224,44 @@ def to_row(entries, domain):
 class RowBasis:
     """Incremental fully-reduced row-echelon basis over a fraction-free domain.
 
-    ``occ`` maps each non-pivot column c to a list of pivots q; every stored
-    row q with an entry at c is listed there (the list may also name rows
-    that no longer hold c).  Pivot columns have no list.  ``rows`` keeps
-    insertion order and an accepted row's pivot is new, so after an accepted
-    ``insert`` the new pivot is the last key of ``rows``.
+    ``unit[c]`` is 1 iff column c holds a unit row, and ``units`` counts
+    them.  ``rows`` maps the pivot of every other row to the row.  ``occ``
+    maps each non-pivot column c to a list of pivots q; every stored row q
+    with an entry at c is listed there (the list may also name rows that no
+    longer hold c, or that have become unit rows).  Pivot columns, flagged
+    ones included, have no list.  After an accepted ``insert``,
+    ``last_pivot`` is the new row's pivot.
     """
 
     def __init__(self, ncols: int, domain=ZZDomain):
         self.ncols = ncols
         self.domain = domain
-        self.rows = {}  # pivot column -> row dict
+        self.rows = {}  # pivot column -> row dict with two or more entries
         self.occ = {}   # non-pivot column -> pivots of rows that may hold it
+        self.unit = bytearray(ncols)
+        self.units = 0
+        self.last_pivot = None
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.rows) + self.units
 
     def pivots(self):
-        return sorted(self.rows)
+        return sorted([*self.rows, *compress(range(self.ncols), self.unit)])
+
+    def items(self):
+        """(pivot, row) for every row in pivot order; a unit row is {pivot: one}."""
+        rows, one = self.rows, self.domain.one
+        for p in self.pivots():
+            row = rows.get(p)
+            yield p, {p: one} if row is None else row
 
     def copy(self) -> "RowBasis":
         out = RowBasis(self.ncols, self.domain)
         out.rows = {p: dict(r) for p, r in self.rows.items()}
         out.occ = {c: list(qs) for c, qs in self.occ.items()}
+        out.unit[:] = self.unit
+        out.units = self.units
         return out
 
     def _eliminate(self, r, s, p):
@@ -262,15 +289,15 @@ class RowBasis:
         """Fully reduce a row against the basis; returns the remainder.
 
         The row is copied in canonical form (no zero entries, normalized
-        polynomials), so a caller may pass entries such as 0 or (1, 0), and
-        the argument is left unchanged.
+        polynomials, no entry at a unit row's column), so a caller may pass
+        entries such as 0 or (1, 0), and the argument is left unchanged.
 
         Stored rows vanish at every other row's pivot, so eliminating one
         pivot column neither adds nor removes an entry at another: one scan
         over the pivot columns the row holds leaves none of them.
         """
         rows, dom = self.rows, self.domain
-        r = dom.canonical_copy(row)
+        r = dom.canonical_copy(row, self.unit)
         steps = 0
         for c in sorted(c for c in r if c in rows):
             self._eliminate(r, rows[c], c)
@@ -296,43 +323,37 @@ class RowBasis:
                 row[c] = neg(row[c])
         return row
 
+    def _flag(self, q):
+        """Turn the stored row at q, left with one entry, into a unit row."""
+        del self.rows[q]
+        self.unit[q] = 1
+        self.units += 1
+
     def insert(self, row):
         """Grow the span by row; True iff row was outside the previous span.
 
-        A unit row (one nonzero entry) at a column without a row is already
-        reduced: it goes in as ``{c: one}`` and back-substitution only deletes
-        c from the rows listed under it.  A unit row at a pivot holding a unit
-        row lies in the span.
+        A row that reduces to one entry goes in as a flag, which
+        back-substitution deletes from the rows listed under its column.
         """
-        dom = self.domain
-        rows, occ = self.rows, self.occ
-        if len(row) == 1:
-            r = dom.canonical_copy(row)
-            if not r:
-                return False
-            (p,) = r
-            s = rows.get(p)
-            if s is None:
-                for q in occ.pop(p, ()):
-                    s = rows[q]
-                    if p in s:
-                        del s[p]
-                        dom.reduce_row(s)
-                rows[p] = {p: dom.one}
-                return True
-            if len(s) == 1:
-                return False
         r = self._reduce(row)
         if not r:
             return False
-        p = min(r)
+        p = self.last_pivot = min(r)
+        if len(r) == 1:
+            self.insert_unit_range(p, p + 1)
+            return True
+        dom = self.domain
+        rows, occ = self.rows, self.occ
         self._orient(dom.reduce_row_full(r), p)
         # back-substitute the new pivot out of the older rows that hold it
         for q in occ.pop(p, ()):
-            s = rows[q]
-            if p not in s:
+            s = rows.get(q)
+            if s is None or p not in s:
                 continue
             s2 = self._orient(dom.reduce_row(self._eliminate(dict(s), r, p)), q)
+            if len(s2) == 1:
+                self._flag(q)
+                continue
             for c in s2:
                 if c not in s:
                     occ.setdefault(c, []).append(q)
@@ -343,8 +364,37 @@ class RowBasis:
         rows[p] = r
         return True
 
+    def insert_unit_range(self, start, stop):
+        """Grow the span by the unit rows of the columns start..stop-1.
+
+        The columns are flagged and deleted, in one pass, from the rows
+        listed under them; a row left with one entry becomes a flag, any
+        other has its content divided out.  A stored row whose pivot lies in
+        the range is taken out and inserted again without its flagged
+        entries, so a range holding no such pivot runs no reduction.
+        """
+        rows, occ, unit = self.rows, self.occ, self.unit
+        moved = [rows.pop(q) for q in range(start, stop) if q in rows]
+        self.units += unit.count(0, start, stop)
+        unit[start:stop] = b"\x01" * (stop - start)
+        touched = {}
+        for c in range(start, stop):
+            for q in occ.pop(c, ()):
+                s = rows.get(q)
+                if s is not None and c in s:
+                    del s[c]
+                    touched[q] = s
+        reduce_row = self.domain.reduce_row
+        for q, s in touched.items():
+            if len(s) == 1:
+                self._flag(q)
+            else:
+                reduce_row(s)
+        for s in moved:
+            self.insert(s)
+
     def finalize(self):
-        """Bring every row to its canonical primitive form."""
+        """Bring every stored row to its canonical primitive form."""
         for q, s in self.rows.items():
             self._orient(self.domain.reduce_row_full(s), q)
         return self
@@ -354,18 +404,14 @@ class RowBasis:
         self.finalize()
         # ints lift to constant polynomials so Q and Q(d) spans compare cleanly
         lift = (lambda v: (v,) if v else ()) if self.domain is ZZDomain else (lambda v: v)
-        out = []
-        for p in sorted(self.rows):
-            row = self.rows[p]
-            out.append((p, tuple(sorted((c, lift(v)) for c, v in row.items()))))
-        return tuple(out)
+        return tuple((p, tuple(sorted((c, lift(v)) for c, v in row.items())))
+                     for p, row in self.items())
 
     def field_rows(self):
         """Rows as dicts over the field, pivot entries scaled to 1."""
         self.finalize()
         div = self.domain.field_div
-        return [{c: div(v, row[p]) for c, v in row.items()}
-                for p, row in sorted(self.rows.items())]
+        return [{c: div(v, row[p]) for c, v in row.items()} for p, row in self.items()]
 
     def __eq__(self, other):
         return (isinstance(other, RowBasis) and self.ncols == other.ncols
@@ -384,14 +430,13 @@ def nullspace(rows, ncols: int, domain=ZZDomain) -> RowBasis:
     basis = RowBasis(ncols, domain)
     for r in rows:
         basis.insert(r)
-    pivots = basis.pivots()
+    by_pivot = dict(basis.items())
     out = RowBasis(ncols, domain)
     for f in range(ncols):
-        if f in basis.rows:
+        if f in by_pivot:
             continue
         entries = {f: 1}
-        for p in pivots:
-            row = basis.rows[p]
+        for p, row in by_pivot.items():
             if f in row:
                 entries[p] = -domain.field_div(row[f], row[p])
         out.insert(to_row(entries, domain))

@@ -92,7 +92,7 @@ def koszul_dual(v: Variety) -> Variety:
         twisted.append((dual_ctx.index[img], sign * _leaf_sign(mono)))
     domain = space.basis.domain
     m_rows = [apply_index_map(row, twisted, domain.neg)
-              for row in space.basis.rows.values()]
+              for _, row in space.basis.items()]
     kernel = nullspace(m_rows, len(dual_ctx.monomials), domain)
     relations = tuple(row_to_element(row, dual_ctx.monomials, 3)
                       for row in kernel.field_rows())

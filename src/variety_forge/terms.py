@@ -140,12 +140,17 @@ def ops_table(ops) -> dict:
     return table
 
 
+# key -> the Monomial normalize_tree returns for it, so that the terms of
+# many elements share one Monomial per key; engine.clear_cache empties it
+MONOMIALS = {}
+
+
 def normalize_tree(tree, table, fragment=False):
     """Canonicalize a raw tree over the name -> symmetry ``table``.
 
-    Returns (sign, Monomial).  With fragment=True leaf labels need only be
-    distinct, which is the shape substitution arguments come in; otherwise
-    they must be exactly 1..n.
+    Returns (sign, Monomial), the Monomial interned by key in ``MONOMIALS``.
+    With fragment=True leaf labels need only be distinct, which is the shape
+    substitution arguments come in; otherwise they must be exactly 1..n.
     """
     sign, canon = _normalize_rec(tree, table)
     key = _tree_key(canon)
@@ -155,7 +160,10 @@ def normalize_tree(tree, table, fragment=False):
             raise TermError("repeated variable in monomial: %r" % (tree,))
     elif sorted(leaves) != list(range(1, len(leaves) + 1)):
         raise TermError("monomial is not multilinear in x1..xn: %r" % (tree,))
-    return sign, Monomial(canon, len(leaves), key)
+    mono = MONOMIALS.get(key)
+    if mono is None:
+        mono = MONOMIALS[key] = Monomial(canon, len(leaves), key)
+    return sign, mono
 
 
 def _normalize_rec(tree, table):
@@ -481,14 +489,6 @@ class SubtreeCoder:
         self.trees.append(tree)
         self.codes.append(code)
         return len(self.codes) - 1
-
-
-def double_factorial_count(n: int, k: int) -> int:
-    """(2n-3)!! * k^(n-1): canonical monomial count for k symmetric-type ops."""
-    out = 1
-    for v in range(2 * n - 3, 0, -2):
-        out *= v
-    return out * k ** (n - 1)
 
 
 # ---------------------------------------------------------------------------

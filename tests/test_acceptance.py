@@ -252,7 +252,7 @@ def test_criterion_14_property_suites():
         space = consequences(v, n)
         ctx = get_context(v.ops, n)
         rows = [row_to_element(r, ctx.monomials, n)
-                for r in space.basis.rows.values()]
+                for _, r in space.basis.items()]
         perms = [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
         for e in rows:
             sigma = rng.choice(perms)

@@ -10,7 +10,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from variety_forge import engine
+from variety_forge import engine, terms
 from variety_forge.catalog import (algebra, identity, one_op_variety, variety,
                                    variety_names)
 from variety_forge.engine import (ArityOverflowError, EngineError,
@@ -21,11 +21,11 @@ from variety_forge.engine import (ArityOverflowError, EngineError,
 from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
 from variety_forge.scalar import DELTA
 from variety_forge.terms import (BRACKET, DOT, NONE, Element, OpSymbol,
-                                 Permutation, act, act_monomial,
-                                 double_factorial_count, enumerate_monomials,
+                                 Permutation, act, act_monomial, enumerate_monomials,
                                  normalize_tree, substitute_tree)
 
 from conftest import OP_SETS, TWO_OPS
+from test_terms import double_factorial_count
 
 F = Fraction
 
@@ -207,7 +207,7 @@ def test_sn_stability_of_spaces():
         v = variety(name)
         space = consequences(v, n)
         ctx = get_context(v.ops, n)
-        rows = [row_to_element(r, ctx.monomials, n) for r in space.basis.rows.values()]
+        rows = [row_to_element(r, ctx.monomials, n) for _, r in space.basis.items()]
         for img in itertools.permutations(range(1, n + 1)):
             sigma = Permutation(img)
             for e in rows[:6]:
@@ -330,13 +330,18 @@ def test_arity6_spaces_are_pinned(name, delta):
 @pytest.mark.parametrize("name", variety_names())
 def test_unit_rows_fill_whole_association_types(name):
     # the span is S_n-invariant and a type is one orbit, so a type holds all
-    # of its columns as unit rows or none
+    # of its columns as unit rows or none; unit rows are column flags, read
+    # here from the canonical rows, and no stored row has one entry
     v = variety(name)
     for n in range(1, 6):
-        rows = consequences(v, n).basis.rows
-        units = {p for p, row in rows.items() if len(row) == 1}
-        for block in set(get_context(v.ops, n).type_blocks()):
+        space = consequences(v, n)
+        units = {p for p, row in space.basis.canonical_rows() if len(row) == 1}
+        assert units == {c for c, flag in enumerate(space.basis.unit) if flag}
+        assert all(len(row) > 1 for row in space.basis.rows.values())
+        blocks = get_context(v.ops, n).type_blocks()
+        for block in set(blocks):
             assert len(units.intersection(block)) in (0, len(block)), (n, block)
+        assert space.unit_types() == {t for t, b in enumerate(blocks) if b.start in units}
 
 
 def test_type_blocks_are_contiguous_orbits():
@@ -397,7 +402,7 @@ def test_arity6_enumerates_only_the_live_types(name, types, columns):
     v = variety(name)
     rows = consequences(v, 6).basis.rows
     ctx = get_context(v.ops, 6)
-    live = {ctx.type_of(c) for row in rows.values() if len(row) > 1 for c in row}
+    live = {ctx.type_of(c) for row in rows.values() for c in row}
     assert _enumerated_types(ctx) == sorted(live)
     assert len(live) == types
     assert sum(len(ctx.type_blocks()[t]) for t in live) == columns
@@ -426,7 +431,7 @@ def _reference_levels(v, top):
         if prev is not None:
             for table in get_context(v.ops, n - 1).lift_tables(ctx):
                 seeds += [engine.apply_index_map(row, table, neg)
-                          for row in prev.rows.values()]
+                          for _, row in prev.items()]
         prev = RowBasis(len(ctx.monomials), domain)
         for img in itertools.permutations(range(1, n + 1)):
             table = _reference_table(Permutation(img), ctx)
@@ -560,3 +565,15 @@ def test_contexts_and_tables_die_with_the_cache():
         assert {sys.getrefcount(t) for t in tables} == {3}
     finally:
         gc.enable()
+
+
+def test_normalized_monomials_are_interned_until_the_cache_clears():
+    # equal keys give one Monomial object, and clear_cache bounds the table
+    table = {"dot": "symmetric", "bracket": "antisymmetric"}
+    sign, m = normalize_tree(("bracket", ("dot", 3, 1), 2), table)
+    assert normalize_tree(("bracket", 2, ("dot", 1, 3)), table) == (-sign, m)
+    assert normalize_tree(("bracket", 2, ("dot", 1, 3)), table)[1] is m
+    clear_cache()
+    assert not terms.MONOMIALS
+    again = normalize_tree(("bracket", ("dot", 1, 3), 2), table)[1]
+    assert again == m and again is not m and terms.MONOMIALS == {m.key: again}

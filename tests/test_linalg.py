@@ -1,6 +1,7 @@
 """Sparse exact row reduction over Q and Q(d): rank, nullspace, membership."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -132,32 +133,43 @@ def test_insert_normalizes_trailing_zero_coefficients():
 def test_insert_drops_zero_polynomial_entries():
     basis = RowBasis(2, PolyDomain)
     assert basis.insert({0: (0, 0), 1: (1,)})
-    assert basis.rows == {1: {1: (1,)}}
+    assert dict(basis.items()) == {1: {1: (1,)}} and basis.rows == {}
     assert not basis.insert({0: (), 1: (2,)})
 
 
 def test_insert_drops_zero_int_entries():
     basis = RowBasis(2)
     assert basis.insert({0: 0, 1: 1})
-    assert basis.pivots() == [1] and basis.rows == {1: {1: 1}}
+    assert basis.pivots() == [1] and dict(basis.items()) == {1: {1: 1}}
     assert basis.insert({0: 3})
     assert basis.rank == 2
 
 
 def _unit_row_checks(basis, to_field):
-    """Each stored row equals the dense RREF of every row inserted so far."""
+    """insert and kill, each checking the basis against the dense RREF of
+    every row inserted so far; kill inserts the unit rows of a range."""
     inserted = []
+
+    def check():
+        # integer content divided out, checked before field_rows finalizes
+        content = pcontent if basis.domain is PolyDomain else abs
+        assert all(math.gcd(*map(content, r.values())) == 1 for r in basis.rows.values())
+        ref = dense_rref(inserted, basis.ncols, to_field)
+        assert basis.field_rows() == ref and basis.rank == len(ref)
+        for p, r in basis.rows.items():
+            assert len(r) > 1 and min(r) == p
+            assert not any(c != p and (c in basis.rows or basis.unit[c]) for c in r)
 
     def insert(row, expect):
         assert basis.insert(row) is expect
         inserted.append(row)
-        # integer content divided out, checked before field_rows finalizes
-        content = pcontent if basis.domain is PolyDomain else abs
-        assert all(math.gcd(*map(content, r.values())) == 1 for r in basis.rows.values())
-        assert basis.field_rows() == dense_rref(inserted, basis.ncols, to_field)
-        for p, r in basis.rows.items():
-            assert min(r) == p and not any(q in r for q in basis.rows if q != p)
-    return insert
+        check()
+
+    def kill(start, stop):
+        basis.insert_unit_range(start, stop)
+        inserted.extend({c: basis.domain.one} for c in range(start, stop))
+        check()
+    return insert, kill
 
 
 @pytest.mark.parametrize("poly", [False, True])
@@ -168,22 +180,52 @@ def test_insert_unit_rows_against_the_dense_reference(poly, monkeypatch):
         return (v,) if poly else v
 
     basis = RowBasis(6, domain)
-    insert = _unit_row_checks(basis, to_field)
+    insert, kill = _unit_row_checks(basis, to_field)
     insert({0: e(2), 3: e(1), 5: e(4)}, True)
     insert({1: e(1), 3: e(-1), 4: e(2)}, True)
-    # a unit row at a column without a row: back-substituted out of the rows
-    # occ lists under it, which are divided by their content afterwards
+    # a unit row at a column without a row: a flag, back-substituted out of
+    # the rows occ lists under it, which are divided by their content afterwards
     insert({3: e(-5)}, True)
-    assert basis.rows[0] == {0: e(1), 5: e(2)} and 3 not in basis.occ
-    # a unit row at a pivot whose row is not a unit row
+    assert basis.rows[0] == {0: e(1), 5: e(2)} and 3 not in basis.occ and basis.unit[3]
+    # a unit row at a pivot whose row is not a unit row: back-substitution
+    # leaves that row one entry, so it becomes a flag too
     insert({1: e(7)}, True)
-    assert basis.rows[1] == {1: e(1)} and basis.rows[4] == {4: e(1)}
-    # a unit row at a pivot holding a unit row is in the span
+    assert list(basis.rows) == [0] and basis.unit == bytearray([0, 1, 0, 1, 1, 0])
+    # a unit row at a flagged column is in the span
     insert({4: e(-3)}, False)
-    # at a fresh column, or at a unit row's pivot, no reduction runs
+    # a range without a stored row's pivot runs no reduction: a fresh column
+    # (2), flagged ones (3, 4), and one (5) that leaves row 0 a unit row
     monkeypatch.setattr(RowBasis, "_reduce", None)
-    insert({2: e(9)}, True)
-    insert({3: e(1)}, False)
+    kill(2, 6)
+    assert basis.rows == {} and basis.units == 6 and basis.occ == {}
+
+
+@pytest.mark.parametrize("poly", [False, True])
+def test_unit_range_reinserts_the_rows_it_holds_the_pivot_of(poly):
+    domain, to_field = (PolyDomain, RationalFunction) if poly else (ZZDomain, F)
+
+    def e(v):
+        return (v,) if poly else v
+
+    basis = RowBasis(6, domain)
+    insert, kill = _unit_row_checks(basis, to_field)
+    insert({0: e(2), 2: e(1), 4: e(6)}, True)
+    insert({1: e(3), 3: e(2), 4: e(-2), 5: e(6)}, True)
+    before = basis.copy()
+    # column 2 goes from row 0, which is divided by its content; row 1 goes
+    # in again without column 1, as {3: 2, 4: -2, 5: 6} divided by 2
+    kill(1, 3)
+    assert basis.rows == {0: {0: e(1), 4: e(3)}, 3: {3: e(1), 4: e(-1), 5: e(3)}}
+    assert basis.rank == 4 and before.rank == 2
+    assert before.rows[1] == {1: e(3), 3: e(2), 4: e(-2), 5: e(6)} and not any(before.unit)
+    # reduce and contains drop the flagged entries of a copy of the argument
+    row = {1: e(5), 2: e(-1), 3: e(1), 4: e(-1), 5: e(3)}
+    arg, snapshot = dict(row), basis.copy()
+    assert basis.reduce(row) == {} and basis.contains(row)
+    assert basis.reduce({2: e(4), 4: e(1)}) == {4: e(1)}
+    assert not basis.contains({1: e(1), 4: e(1)})
+    assert row == arg and basis.unit == snapshot.unit
+    assert basis.rows == snapshot.rows and basis.occ == snapshot.occ
 
 
 def test_insert_unit_rows_read_the_canonical_entry():
@@ -191,12 +233,12 @@ def test_insert_unit_rows_read_the_canonical_entry():
         for zero in zeros:
             basis = RowBasis(3, domain)
             assert not basis.insert({1: zero})
-            assert basis.rows == {} and basis.occ == {}
+            assert basis.rows == {} and basis.occ == {} and basis.rank == 0
     poly = RowBasis(3, PolyDomain)
-    insert = _unit_row_checks(poly, RationalFunction)
+    insert, _ = _unit_row_checks(poly, RationalFunction)
     insert({0: (1,), 1: (0, 1)}, True)
     insert({1: (3, 0)}, True)  # 3, with a trailing zero coefficient
-    assert poly.rows == {0: {0: (1,)}, 1: {1: (1,)}}
+    assert dict(poly.items()) == {0: {0: (1,)}, 1: {1: (1,)}} and poly.rows == {}
     insert({1: (0, 0, 2)}, False)  # 2*d^2: a unit of Q(d)
 
 
@@ -209,13 +251,18 @@ def test_copy_is_independent():
             b.insert(r)
         return b.canonical_rows()
 
-    for into_copy in (True, False):
+    for into_copy, by_range in itertools.product((True, False), repeat=2):
         src = RowBasis(4)
         for r in rows:
             src.insert(r)
         dup = src.copy()
         changed, kept = (dup, src) if into_copy else (src, dup)
-        assert changed.insert({2: 1})     # column 2 becomes a pivot there only
+        # column 2 becomes a unit row there only
+        if by_range:
+            changed.insert_unit_range(2, 3)
+        else:
+            assert changed.insert({2: 1})
+        assert changed.rank == 3 and kept.rank == 2
         assert kept.canonical_rows() == fresh()
         assert kept.insert({2: 1, 3: 1})  # the other still back-substitutes 2
         assert kept.canonical_rows() == fresh({2: 1, 3: 1})
@@ -223,11 +270,13 @@ def test_copy_is_independent():
 
 
 def _fill_and_cancel_rows(rng, ncols, poly):
-    """Dense random rows plus combinations of them, and a few unit rows.
+    """Dense random rows plus combinations of them, a few unit rows, and a
+    few column ranges, each standing for the unit rows of its columns.
 
     The combinations make inserts reject and entries cancel to zero during
-    back-substitution; the density makes back-substitution fill columns.  The
-    unit rows take the path of ``insert`` that skips reduction.
+    back-substitution; the density makes back-substitution fill columns.  A
+    range goes in by ``insert_unit_range`` (see ``_put``), so it deletes
+    entries from stored rows and takes out rows whose pivot it holds.
     """
     def entry():
         if poly:
@@ -254,24 +303,44 @@ def _fill_and_cancel_rows(rng, ncols, poly):
     for _ in range(rng.randint(0, 2)):
         unit = rng.choice([(-2,), (1,), (0, 3)] if poly else [-2, 1, 3])
         rows.append({rng.randrange(ncols): unit})
+    for _ in range(rng.randint(0, 2)):
+        start = rng.randrange(ncols)
+        rows.append(range(start, rng.randint(start + 1, min(ncols, start + 3))))
     rng.shuffle(rows)
     return [r for r in rows if r]
 
 
+def _put(basis, item):
+    """Insert a row, or the unit rows of a column range in one call."""
+    if isinstance(item, range):
+        basis.insert_unit_range(item.start, item.stop)
+    else:
+        basis.insert(item)
+
+
+def _expand(items, one):
+    """The rows of items, each range as the unit rows of its columns."""
+    return [row for item in items
+            for row in ([{c: one} for c in item] if isinstance(item, range) else [item])]
+
+
 def _check_against_reference(rng, ncols, poly):
     domain, to_field = (PolyDomain, RationalFunction) if poly else (ZZDomain, F)
-    rows = _fill_and_cancel_rows(rng, ncols, poly)
+    items = _fill_and_cancel_rows(rng, ncols, poly)
+    rows = _expand(items, domain.one)
     ref = dense_rref(rows, ncols, to_field)
-    canonical = []
-    for _ in range(3):  # the generated order, then two shuffles
+    bases = []
+    # the generated order, the same with each range as its unit rows one by
+    # one, then two shuffles
+    for order in (items, rows, rng.sample(items, len(items)), rng.sample(items, len(items))):
         basis = RowBasis(ncols, domain)
-        for r in rows:
-            basis.insert(r)
+        for item in order:
+            _put(basis, item)
         assert basis.rank == len(ref)
         assert basis.field_rows() == ref
-        canonical.append(basis.canonical_rows())
-        rng.shuffle(rows)
-    assert canonical[0] == canonical[1] == canonical[2]
+        bases.append(basis)
+    assert len({b.canonical_rows() for b in bases}) == 1
+    assert all(b == bases[0] for b in bases)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -295,21 +364,24 @@ def test_reduced_form_invariants(seed, poly):
     domain = PolyDomain if poly else ZZDomain
     basis = RowBasis(ncols, domain)
     inserted = _fill_and_cancel_rows(rng, ncols, poly)
-    for r in inserted:
-        basis.insert(r)
+    for item in inserted:
+        _put(basis, item)
+        # a unit row is a flag, and no stored row holds a flagged column
+        assert basis.units == sum(basis.unit)
         for p, row in basis.rows.items():
-            assert min(row) == p
-            assert not any(q in row for q in basis.rows if q != p)
-    probes = inserted[:2] + _random_sparse_rows(rng, 3, ncols, poly)
+            assert len(row) > 1 and min(row) == p
+            assert not any(c != p and (c in basis.rows or basis.unit[c]) for c in row)
+    rows = _expand(inserted, domain.one)
+    probes = rows[:2] + _random_sparse_rows(rng, 3, ncols, poly)
     for row in probes:
         before, snapshot = dict(row), basis.copy()
         rem = basis.reduce(row)
-        assert not any(c in basis.rows for c in rem)
-        in_span = rank(list(basis.rows.values()) + [row], ncols, domain) == basis.rank
+        assert not any(c in basis.rows or basis.unit[c] for c in rem)
+        in_span = rank([r for _, r in basis.items()] + [row], ncols, domain) == basis.rank
         assert (not rem) == in_span == basis.contains(row)
-        assert row == before
+        assert row == before and basis.unit == snapshot.unit
         assert basis.rows == snapshot.rows and basis.occ == snapshot.occ
-    assert all(basis.contains(r) for r in inserted)
+    assert all(basis.contains(r) for r in rows)
 
 
 def test_reference_matrix_ranks():

@@ -8,13 +8,20 @@ from hypothesis import given, strategies as st
 from variety_forge.exprs import parse_expr
 from variety_forge.scalar import RF_ONE
 from variety_forge.terms import (BRACKET, DOT, OpSymbol,
-                                 Permutation, TermError, act,
-                                 double_factorial_count, depolarize_expr,
+                                 Permutation, TermError, act, depolarize_expr,
                                  enumerate_monomials, multilinearize,
                                  multiply_by_var, normalize, polarize_expr,
                                  proper_subtrees, substitute)
 
 from conftest import ONE_OP, OP_SETS, TWO_OPS, random_element, seeded
+
+
+def double_factorial_count(n: int, k: int) -> int:
+    """(2n-3)!! * k^(n-1): canonical monomial count for k symmetric-type ops."""
+    out = 1
+    for v in range(2 * n - 3, 0, -2):
+        out *= v
+    return out * k ** (n - 1)
 
 
 def test_normalize_examples():
