@@ -35,6 +35,7 @@ that choice once.  See linalg for the fraction-free representation.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 import os
@@ -51,8 +52,8 @@ from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element
 # arity 7 is not promised in either mode.  Its context (type list and
 # proper-subtree registry) takes about 1.3 s and 100 MB, and cold AP(7) and
 # MP(7) builds take 5-8 s and 160-200 MB peak RSS, but a variety whose span
-# holds no unit rows (jordan-bracket, transposed-poisson) already takes
-# 13-15 s at arity 6
+# holds no unit rows (poisson, jordan-bracket) already takes 5-8 s and
+# 130-150 MB at arity 6, and generic TDP(6) 10-13 s
 MAX_ARITY = 6
 
 
@@ -95,10 +96,6 @@ class Variety:
 
     def with_delta(self, q) -> "Variety":
         return Variety(self.ops, self.identities, delta=q, name=self.name)
-
-    def with_identities(self, extra) -> "Variety":
-        return Variety(self.ops, self.identities + tuple(extra), delta=self.delta,
-                       name=self.name)
 
     def uses_delta(self) -> bool:
         return any(not c.is_constant() for e in self.identities for c in e.terms.values())
@@ -590,39 +587,50 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     """Closure of v's arity-n identities and of the lifts of level n-1.
 
     Level n-1 comes from ``consequences``, so each level is built once per
-    process.  The candidates are inserted first; every accepted row then
-    queues its images under the generators (1 2) and (1 2 ... n), except a
-    (1 2) image that the span provably holds already:
+    process.  The identity rows go in first, then the lift rows; every
+    accepted row then pushes its images under the generators (1 2) and
+    (1 2 ... n) onto a heap, except a (1 2) image that the span provably
+    holds already:
 
     - a lift row x at n >= 3: the lifts span W = L(V_{n-1}), and (1 2) lies
       in S_{n-1}, which maps V_{n-1} to itself, fixes the lift by the fresh
       variable and permutes the substitution lifts (sigma L_i = L_sigma(i)
       sigma); so (1 2)x lies in W, all of whose rows went in before the
-      queue started;
+      closure started;
     - a row accepted as (1 2)y: its (1 2) image is y.
 
     Such an insert would be rejected, and a rejected insert leaves the basis
     as it was, so the skips change no basis state, only the work done.
 
+    Candidates go in largest leading column first: the identity rows and
+    the lift rows each sorted that way, then always the pending image with
+    the largest leading column.  A stored row with pivot P holds no column
+    below P, so a new row whose pivot lies below every stored pivot is
+    back-substituted into none of them; this order keeps most new pivots
+    there, which saves eliminations and, over Z[d], keeps the degrees of
+    the stored rows low.  The span, and so the canonical rows, do not depend
+    on the order.
+
     Unit rows are placed a whole association type at a time.  The span is
     S_n-invariant and a type is one S_n orbit of columns (see
     ``MonomialContext.type_blocks``), so once e_c lies in the span, the unit
     rows of every column of c's type do too.  An accepted insert that leaves
-    a unit row kills its type: the type's unit rows go in, and none is
-    queued, because their images lie in the type.  The unit rows of level
-    n-1 are whole types as well.  Of each such type one column is lifted
-    through every lift table, and the type each image lands in is killed;
-    by sigma L_i = L_sigma(i) sigma the lifts of the other columns land in
-    the same types.  The other rows of level n-1 are lifted one by one.
+    a unit row kills its type: the type's unit rows go in, and no image of
+    it is pushed, because its images lie in the type.  The unit rows of
+    level n-1 are whole types as well.  Of each such type one column is
+    lifted through every lift table, and the type each image lands in is
+    killed; by sigma L_i = L_sigma(i) sigma the lifts of the other columns
+    land in the same types.  The other rows of level n-1 are lifted one by
+    one.
 
     Every candidate drops its entries in killed types (``apply_index_map``).
     The unit rows there would eliminate exactly those entries, so each
     insert reduces to the same row and is accepted or rejected as before.
-    A queued row may keep entries in a type killed after it was queued, but
-    its images differ from the images of the row without them by vectors in
-    killed types, since a permutation maps each type to itself.  So neither
-    the span nor any basis state changes, and a type killed before any
-    candidate reaches it is never enumerated.
+    A pending image may keep entries in a type killed after it was pushed,
+    but it differs from the image without them by a vector in killed types,
+    as do its own images, since a permutation maps each type to itself.  So
+    neither the span nor any basis state changes, and a type killed before
+    any candidate reaches it is never enumerated.
     """
     domain = v.domain
     ctx = get_context(v.ops, n)
@@ -638,7 +646,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             basis.insert_unit_range(blocks[t].start, blocks[t].stop)
 
     def place(row):
-        """Insert row; True iff it was accepted and is to be queued."""
+        """Insert row; True iff it was accepted and its images are to be pushed."""
         if not basis.insert(row):
             return False
         p = basis.last_pivot
@@ -647,13 +655,26 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             return False
         return True
 
-    # queue entries: an accepted row and whether its (1 2) image may be new
-    queue = []
-    for e in v.identities:
-        if e.arity == n:
-            row = element_to_row(e, ctx, v.delta, domain)
-            if place(row):
-                queue.append((row, True))
+    tables = ctx.perm_generator_tables()
+    # pending images, largest leading column first; ties in push order
+    heap, order = [], itertools.count()
+
+    def push(row, swap_new):
+        """Queue row's images; swap_new: whether its (1 2) image may be new."""
+        for k, table in enumerate(tables):
+            if k == 0 and not swap_new:
+                continue
+            img = apply_index_map(row, table, neg, killed)
+            if img:
+                heapq.heappush(heap, (-min(img), next(order), img, k != 0))
+
+    def largest_lead_first(rows):
+        return sorted((r for r in rows if r), key=min, reverse=True)
+
+    for row in largest_lead_first([element_to_row(e, ctx, v.delta, domain)
+                                   for e in v.identities if e.arity == n]):
+        if place(row):
+            push(row, True)
     if any(e.arity < n for e in v.identities):
         prev = consequences(v, n - 1)
         prev_ctx = get_context(v.ops, n - 1)
@@ -663,20 +684,15 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             if prev_unit[start]:
                 for table in lifts:
                     kill(table.type_of(start))
-        for table in lifts:
-            for row in prev.basis.rows.values():
-                img = apply_index_map(row, table, neg, killed)
-                if place(img):
-                    queue.append((img, n < 3))
-    tables = ctx.perm_generator_tables()
-    while queue:
-        row, swap_new = queue.pop()
-        for k, table in enumerate(tables):
-            if k == 0 and not swap_new:
-                continue
-            img = apply_index_map(row, table, neg, killed)
+        for img in largest_lead_first([apply_index_map(row, table, neg, killed)
+                                       for table in lifts
+                                       for row in prev.basis.rows.values()]):
             if place(img):
-                queue.append((img, k != 0))
+                push(img, n < 3)
+    while heap:
+        _, _, img, swap_new = heapq.heappop(heap)
+        if place(img):
+            push(img, swap_new)
     return basis
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
 
+from variety_forge.engine import Variety
 from variety_forge.scalar import RationalFunction
 from variety_forge.terms import BRACKET, DOT, PLAIN, Element, OpSymbol, enumerate_monomials
 
@@ -47,6 +48,11 @@ def dense_rref(rows, ncols, to_field=Fraction):
                     r[c] -= f * piv[c]
         done.append(piv)
     return [{c: v for c, v in enumerate(r) if v} for r in done]
+
+
+def with_identities(v, extra):
+    """v with the identities in extra added, at the same d."""
+    return Variety(v.ops, v.identities + tuple(extra), delta=v.delta, name=v.name)
 
 
 def random_rational(rng, span=6):

@@ -1,6 +1,9 @@
 """Command-line behaviour: outputs, exit codes, determinism, file round trips."""
 
+import pytest
+
 from variety_forge import engine, scalar
+from variety_forge.catalog import variety
 from variety_forge.cli import main
 
 
@@ -47,7 +50,6 @@ def test_equiv_command(capsys, tmp_path):
                  " - (2*d+1)*m(x1,m(x2,x3)) - m(x1,m(x3,x2)) + m(x2,m(x1,x3))"
                  " + d*m(x3,m(x1,x2))\n")
     g = tmp_path / "depol.var"
-    from variety_forge.catalog import variety
     from variety_forge.engine import depolarize_variety, format_variety
     from fractions import Fraction
     g.write_text(format_variety(depolarize_variety(variety("delta-poisson",
@@ -248,9 +250,14 @@ def test_deterministic_output(capsys):
 
 
 def test_degree_ceiling_on_the_elimination_path(capsys, monkeypatch):
-    # generic TDP(5) reaches d-degree 16 inside RowBasis elimination, so a
-    # ceiling of 8 must stop it there with the arithmetic-limit exit code
-    monkeypatch.setattr(scalar, "_DEGREE_LIMIT", 8)
+    # generic TDP(5) multiplies polynomials up to d-degree 5 inside RowBasis
+    # elimination, so a ceiling of 3 must stop it there, and the CLI must
+    # report it with the arithmetic-limit exit code
+    monkeypatch.setattr(scalar, "_DEGREE_LIMIT", 3)
+    engine.clear_cache()
+    with pytest.raises(scalar.DegreeOverflowError) as excinfo:
+        engine.dim_multilinear(variety("transposed-delta-poisson"), 5)
+    assert "_eliminate" in {entry.name for entry in excinfo.traceback}
     engine.clear_cache()
     code, _, err = run(capsys, "dim", "transposed-delta-poisson", "--arity", "5",
                        "--no-timing")

@@ -12,6 +12,8 @@ from variety_forge.engine import Variety, equivalent, is_consequence
 from variety_forge.scalar import RationalFunction
 from variety_forge.terms import Element
 
+from conftest import with_identities
+
 F = Fraction
 
 
@@ -65,9 +67,9 @@ def test_jordan_bracket_needs_the_strong_identity():
     assert is_consequence(dp, identity("jordan-bracket-2"), 4)
     assert is_consequence(dp, identity("jordan-bracket-3"), 4)
     assert not is_consequence(dp, identity("jordan-bracket-1"), 4)
-    with_strong = dp.with_identities([identity("strong")])
+    with_strong = with_identities(dp, [identity("strong")])
     assert is_consequence(with_strong, identity("jordan-bracket-1"), 4)
-    with_jb1 = dp.with_identities([identity("jordan-bracket-1")])
+    with_jb1 = with_identities(dp, [identity("jordan-bracket-1")])
     assert is_consequence(with_jb1, identity("strong"), 4)
 
 
@@ -80,10 +82,10 @@ def test_transposed_f_manifold_boundary():
     # as killing {xy,zt}; at 1/3 the forward implication fails (the
     # transposed-third algebra is an F-manifold witness keeping {xy,zt} alive)
     t2 = variety("transposed-delta-poisson", delta=F(2))
-    assert equivalent(t2.with_identities([identity("f-manifold-law")]),
-                      t2.with_identities([identity("xyzt-1")]), 4)
+    assert equivalent(with_identities(t2, [identity("f-manifold-law")]),
+                      with_identities(t2, [identity("xyzt-1")]), 4)
     t3 = variety("transposed-delta-poisson", delta=F(1, 3))
-    assert not is_consequence(t3.with_identities([identity("f-manifold-law")]),
+    assert not is_consequence(with_identities(t3, [identity("f-manifold-law")]),
                               identity("xyzt-1"), 4)
     witness = algebra("transposed-third")
     assert witness.check_variety(variety("f-manifold")).all_satisfied
@@ -92,9 +94,9 @@ def test_transposed_f_manifold_boundary():
 
 def test_transposed_at_one_f_manifold_one_direction():
     t1 = variety("transposed-delta-poisson", delta=F(1))
-    assert is_consequence(t1.with_identities([identity("f-manifold-law")]),
+    assert is_consequence(with_identities(t1, [identity("f-manifold-law")]),
                           identity("xyzt-1"), 4)
-    assert not is_consequence(t1.with_identities([identity("xyzt-1")]),
+    assert not is_consequence(with_identities(t1, [identity("xyzt-1")]),
                               identity("f-manifold-law"), 4)
     witness = algebra("transposed-one")
     assert witness.eval_identity(identity("xyzt-1")).satisfied
