@@ -16,8 +16,8 @@ from .engine import (ArityOverflowError, ConsequenceSpace, EngineError,
 from .exprs import format_element, parse_expr, parse_scalar
 from .linalg import RowBasis, nullspace, rank
 from .operads import (FreeBasisReport, KoszulVerdict, Series, compose,
-                      dual_relation_matrix, free_delta_p_basis, hilbert_series,
-                      koszul_dual, koszulness_witness)
+                      free_delta_p_basis, hilbert_series, koszul_dual,
+                      koszulness_witness)
 from .scalar import DELTA, PoleError, RationalFunction
 from .terms import (BRACKET, DOT, Element, Monomial, OpSymbol, Permutation,
                     act, depolarize_expr, enumerate_monomials, multilinearize,

@@ -25,7 +25,9 @@ enumerates any monomial, and enumerates a type only when a row entry needs
 one of its columns.  A killed type needs none: its unit rows go in by range,
 the kill of a lifted type reads only the type of the image, and an image
 entry that lands in a killed type is dropped, since the type's unit rows
-would eliminate it.  At n = 6 anti-Poisson enumerates 18 of its 164 types.
+would eliminate it.  At n = 6 anti-Poisson enumerates 18 of its 164 types,
+and records 2,930 of the 12,156 canonical subtrees over proper subsets of
+1..6: a subtree is recorded only when an enumeration or an image needs it.
 
 Rows live over Q when the variety carries no free parameter (or d is
 specialized to a rational), and over Q(d) otherwise: ``Variety.domain`` makes
@@ -47,13 +49,13 @@ from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element,
                     Monomial, OpSymbol, Permutation, TermError, depolarize_expr,
-                    ops_table, proper_subtrees)
+                    ops_table)
 
-# arity 7 is not promised in either mode.  Its context (type list and
-# proper-subtree registry) takes about 1.3 s and 100 MB, and cold AP(7) and
-# MP(7) builds take 5-8 s and 160-200 MB peak RSS, but a variety whose span
-# holds no unit rows (poisson, jordan-bracket) already takes 5-8 s and
-# 130-150 MB at arity 6, and generic TDP(6) 10-13 s
+# arity 7 is not promised in either mode.  Its context is a counted type
+# list (under 0.01 s), and cold AP(7) and MP(7) builds take 3-4.6 s and
+# 1.3-1.8 s at 109 and 71 MB peak RSS, but a variety whose span holds no
+# unit rows (poisson, jordan-bracket) already takes 5-8 s and 130-150 MB at
+# arity 6, and generic TDP(6) 10-13 s
 MAX_ARITY = 6
 
 
@@ -118,53 +120,60 @@ class MonomialContext:
     """The canonical monomials of one arity, by association type, and the
     index maps on them.
 
-    Built at once: the registry of every canonical subtree over every proper
-    subset of 1..n (``terms.proper_subtrees``), where ``nodes[i]`` codes
-    node i as a leaf label or (op_name, left_id, right_id), children first,
-    and ``node_id`` inverts ``nodes``; and the sorted association types of
-    the arity-n monomials.  A type is op(A, B), the monomials op(a, b) with
-    subtrees a of kind A and b of kind B over complementary leaf sets, where
-    the kind of a subtree is its shape and op-word.  Type sizes are counted,
-    not enumerated, so ``offsets[t]`` is the first column of type t and
-    ``ncols`` the number of columns.
+    Built at once: the sorted association types of the arity-n monomials.
+    A type is op(A, B), the monomials op(a, b) with subtrees a of kind A and
+    b of kind B over complementary leaf sets, where the kind of a subtree is
+    its shape and op-word.  The kinds are the types of arities 1..n-1, in
+    that order, read from the lower contexts (``get_context(ops, n - 1)``
+    holds them all), and a type's size there is the kind's count over one
+    leaf set.  So type sizes are counted, not enumerated: ``offsets[t]`` is
+    the first column of type t and ``ncols`` the number of columns.
 
-    Built on demand: a type's monomials are enumerated the first time a
-    column in it is needed, sorted by leaf-word, and take the columns
-    ``offsets[t]`` + rank.  That is the order of the monomial keys, which
-    sort by type first.  ``monomials`` enumerates every type on first
-    access; ``index`` maps a monomial to its column and learns each
-    monomial when it is first looked up.
+    Built on demand: the registry of canonical subtrees over proper subsets
+    of 1..n, where ``nodes[i]`` codes node i as a leaf label or (op_name,
+    left_id, right_id), children first, and ``node_id`` inverts ``nodes``.
+    A subtree is recorded the first time a type enumeration (``of_kind``) or
+    an index-map image (``_join``) needs it.  A type's monomials are
+    enumerated the first time a column in it is needed, sorted by leaf-word,
+    and take the columns ``offsets[t]`` + rank.  That is the order of the
+    monomial keys, which sort by type first.  ``monomials`` enumerates every
+    type on first access; ``index`` maps a monomial to its column and learns
+    each monomial when it is first looked up.
 
-    An index map (``_IndexMap``) is filled column by column.  The images of
-    the proper subtrees come from one pass over the registry, each the join
-    of its children's images found by lookup alone, and a column's image is
-    the join of its two children's images, so no tree is renormalised.  A
-    signed node id is ``~id`` for the negated node.
+    An index map (``_IndexMap``) is filled column by column.  A column's
+    image is the join of its two children's images, and the image of a
+    proper node the join of its children's images, each found the first time
+    it is needed (``_NodeImages``), so no tree is renormalised.  A signed
+    node id is ``~id`` for the negated node.
     """
 
     def __init__(self, ops, n):
         self.ops = tuple(ops)
         self.n = n
         self.table = ops_table(ops)
-        coder = proper_subtrees(n, ops)
-        self.nodes = coder.codes
-        self.node_id = {code: i for i, code in enumerate(self.nodes)}
-        self._keys, self._trees = coder.keys, coder.trees
-        # the kind of each proper node, and the nodes by leaf set and kind
-        kinds = {}
-        self._kind = [kinds.setdefault(key[:2], len(kinds)) for key in self._keys]
-        self._groups = {}
-        for leafset, ids in coder.by_leafset.items():
-            for i in ids:
-                self._groups.setdefault((leafset, self._kind[i]), []).append(i)
-        self._kind_size = [shape.count(1) for shape, _ in kinds]
-        types, sizes = self._count_types(list(kinds))
+        if n == 1:
+            self._kind_keys, self._kind_specs, self._kind_size, self._kind_count = [], [], [], []
+            self._kind_of_spec = {}
+        else:
+            lower = get_context(self.ops, n - 1)
+            base, sizes = len(lower._kind_keys), [len(b) for b in lower.type_blocks()]
+            self._kind_keys = lower._kind_keys + lower._type_keys
+            self._kind_specs = lower._kind_specs + lower._type_specs
+            self._kind_size = lower._kind_size + [n - 1] * len(sizes)
+            self._kind_count = lower._kind_count + sizes
+            self._kind_of_spec = dict(lower._kind_of_spec)
+            self._kind_of_spec.update((spec, base + t) for t, spec in enumerate(lower._type_specs))
+        types, sizes = self._count_types()
         self._type_keys = [key for key, _ in types]
         self._type_specs = [spec for _, spec in types]
         self._type_of_key = {key: t for t, key in enumerate(self._type_keys)}
         self._type_of_spec = {spec: t for t, spec in enumerate(self._type_specs)}
         self.offsets = list(itertools.accumulate(sizes, initial=0))
         self.ncols = self.offsets[-1]
+        # the registry: per node its code, key and kind
+        self.nodes, self._keys, self._kind = [], [], []
+        self.node_id = {}
+        self._groups = {}                          # (leaf set, kind) -> node ids
         self._words = {}                           # interned leaf-words
         self._codes = [None] * len(types)          # per type: codes by rank
         self._columns = [None] * len(types)        # per type: leaf-word -> column
@@ -173,7 +182,7 @@ class MonomialContext:
         self._perm_tables = None
         self._lift_tables = None
 
-    def _count_types(self, kinds):
+    def _count_types(self):
         """Sorted [((shape, op-word), (op_name, A, B))], and the type sizes.
 
         A kind of size k occurs over each k-subset of 1..n equally often, so
@@ -184,54 +193,82 @@ class MonomialContext:
         n = self.n
         if n == 1:
             return [(((1,), ()), None)], [1]
-        size = self._kind_size
-        per_set = [0] * len(kinds)
-        for k in self._kind:
-            per_set[k] += 1
+        keys, size, count = self._kind_keys, self._kind_size, self._kind_count
         by_size = {}
         for k, s in enumerate(size):
-            per_set[k] //= math.comb(n, s)
             by_size.setdefault(s, []).append(k)
         found = []
         for op in self.ops:
-            for a, (sa, oa) in enumerate(kinds):
+            for a, (sa, oa) in enumerate(keys):
                 for b in by_size[n - size[a]]:
-                    sb, ob = kinds[b]
+                    sb, ob = keys[b]
                     if op.symmetry != NONE and (sa, oa) > (sb, ob):
                         continue  # canonical form puts the children the other way
-                    count = math.comb(n, size[a]) * per_set[a] * per_set[b]
+                    c = math.comb(n, size[a]) * count[a] * count[b]
                     if a == b and op.symmetry != NONE:
-                        count //= 2
-                    found.append((((0,) + sa + sb, (op.name,) + oa + ob),
-                                  (op.name, a, b), count))
+                        c //= 2
+                    found.append((((0,) + sa + sb, (op.name,) + oa + ob), (op.name, a, b), c))
         found.sort()
         return [(key, spec) for key, spec, _ in found], [c for _, _, c in found]
+
+    def _node(self, code, kind, word):
+        """Id of the node with this code, recorded if new as a node of the
+        kind over the leaf-word."""
+        i = self.node_id.get(code)
+        if i is None:
+            i = self.node_id[code] = len(self.nodes)
+            shape, ops = self._kind_keys[kind]
+            self.nodes.append(code)
+            self._keys.append((shape, ops, self._words.setdefault(word, word)))
+            self._kind.append(kind)
+        return i
+
+    def _leaf(self, label):
+        """Id of the leaf x_label (kind 0, the one type of arity 1)."""
+        return self._node(label, 0, (label,))
+
+    def _pairs(self, leafset, spec):
+        """(leaf-word, x, y) for every canonical name(x, y) over leafset,
+        where spec is (name, A, B), x is of kind A and y of kind B."""
+        name, a, b = spec
+        keys, of_kind = self._keys, self.of_kind
+        unordered = a == b and self.table[name] != NONE
+        for left in itertools.combinations(sorted(leafset), self._kind_size[a]):
+            left = frozenset(left)
+            ys = of_kind(leafset - left, b)
+            for x in of_kind(left, a):
+                wx = keys[x][2]
+                for y in ys:
+                    wy = keys[y][2]
+                    if unordered and wx > wy:
+                        continue  # not canonical: the children swap
+                    yield wx + wy, x, y
+
+    def of_kind(self, leafset, kind):
+        """Ids of every canonical subtree of the kind over leafset, a
+        nonempty proper subset of 1..n, recorded the first time."""
+        ids = self._groups.get((leafset, kind))
+        if ids is None:
+            spec = self._kind_specs[kind]
+            if spec is None:
+                (leaf,) = leafset
+                ids = [self._leaf(leaf)]
+            else:
+                name, node = spec[0], self._node
+                ids = [node((name, x, y), kind, w) for w, x, y in self._pairs(leafset, spec)]
+            self._groups[leafset, kind] = ids
+        return ids
 
     def _type_columns(self, t):
         """Leaf-word -> column for type t, enumerating the type the first time."""
         columns = self._columns[t]
         if columns is None:
-            n = self.n
-            if n == 1:
+            if self.n == 1:
                 found = [((1,), 1)]
             else:
-                name, a, b = self._type_specs[t]
-                keys, groups, words = self._keys, self._groups, self._words
-                unordered = a == b and self.table[name] != NONE
-                full = frozenset(range(1, n + 1))
-                found = []
-                for left in itertools.combinations(range(1, n + 1), self._kind_size[a]):
-                    left = frozenset(left)
-                    ys = groups[full - left, b]
-                    for x in groups[left, a]:
-                        wx = keys[x][2]
-                        for y in ys:
-                            wy = keys[y][2]
-                            if unordered and wx > wy:
-                                continue  # not canonical: the children swap
-                            w = wx + wy
-                            found.append((words.setdefault(w, w), (name, x, y)))
-                found.sort()
+                spec, words = self._type_specs[t], self._words
+                found = sorted((words.setdefault(w, w), (spec[0], x, y)) for w, x, y
+                               in self._pairs(frozenset(range(1, self.n + 1)), spec))
             start = self.offsets[t]
             self._codes[t] = [code for _, code in found]
             columns = self._columns[t] = {w: start + r for r, (w, _) in enumerate(found)}
@@ -267,10 +304,16 @@ class MonomialContext:
     def monomials(self):
         """Every monomial, in column order."""
         if self._monomials is None:
-            n, trees = self.n, self._trees
+            n = self.n
+            for t in range(len(self._type_keys)):
+                self._type_columns(t)
+            trees = []
+            for code in self.nodes:
+                trees.append(code if code.__class__ is int
+                             else (code[0], trees[code[1]], trees[code[2]]))
             out = []
             for t, (shape, ops) in enumerate(self._type_keys):
-                for word, code in zip(self._type_columns(t), self._codes[t]):
+                for word, code in zip(self._columns[t], self._codes[t]):
                     tree = code if n == 1 else (code[0], trees[code[1]], trees[code[2]])
                     out.append(Monomial(tree, n, (shape, ops, word)))
             self._monomials = out
@@ -278,23 +321,29 @@ class MonomialContext:
 
     def _join(self, name, a, b):
         """Signed id of the canonical form of name(a, b) over a proper subset,
-        a and b signed ids."""
+        a and b signed ids; recorded if new."""
         neg = False
         if a < 0:
             a, neg = ~a, True
         if b < 0:
             b, neg = ~b, not neg
+        keys = self._keys
+        symmetry = self.table[name]
+        if symmetry != NONE and keys[a] > keys[b]:
+            a, b = b, a
+            if symmetry == ANTISYMMETRIC:
+                neg = not neg
         i = self.node_id.get((name, a, b))
         if i is None:
-            # only the other order is canonical: name is (anti)symmetric
-            i = self.node_id[(name, b, a)]
-            if self.table[name] == ANTISYMMETRIC:
-                neg = not neg
+            kind = self._kind
+            i = self._node((name, a, b), self._kind_of_spec[name, kind[a], kind[b]],
+                           keys[a][2] + keys[b][2])
         return ~i if neg else i
 
     def _locate(self, name, a, b):
         """(type, leaf-word, negated) of the canonical form of name(a, b) over
         all of 1..n, a and b signed ids; the type is not enumerated."""
+        # the children ordered as in _join, inline: this runs per located column
         neg = False
         if a < 0:
             a, neg = ~a, True
@@ -309,15 +358,6 @@ class MonomialContext:
         kind = self._kind
         return (self._type_of_spec[name, kind[a], kind[b]], keys[a][2] + keys[b][2], neg)
 
-    def _images(self, leaf_image, target):
-        """Signed target ids of all proper nodes, given the images of the leaves."""
-        join = target._join
-        img = []
-        for code in self.nodes:
-            img.append(leaf_image[code] if code.__class__ is int
-                       else join(code[0], img[code[1]], img[code[2]]))
-        return img
-
     def perm_generator_tables(self):
         """Index maps for the S_n generators (1 2) and (1 2 ... n)."""
         if self._perm_tables is None:
@@ -326,10 +366,9 @@ class MonomialContext:
                 gens.append(Permutation.transposition(self.n, 1, 2))
             if self.n >= 3:
                 gens.append(Permutation.cycle(self.n))
-            leaf = self.node_id
             self._perm_tables = [
-                _IndexMap(self, self, self._images(
-                    {i: leaf[s(i)] for i in range(1, self.n + 1)}, self))
+                _IndexMap(self, self, _NodeImages(
+                    self, self, {i: self._leaf(s(i)) for i in range(1, self.n + 1)}))
                 for s in gens]
         return self._perm_tables
 
@@ -342,9 +381,9 @@ class MonomialContext:
         """
         if self._lift_tables is None:
             n = self.n
-            same = {i: target.node_id[i] for i in range(1, n + 1)}
-            fresh = target.node_id[n + 1]
-            embedded = self._images(same, target)
+            same = {i: target._leaf(i) for i in range(1, n + 1)}
+            fresh = target._leaf(n + 1)
+            embedded = _NodeImages(self, target, same)
             tables = []
             for op in self.ops:
                 for flip in ((False,) if op.symmetry != NONE else (False, True)):
@@ -356,8 +395,8 @@ class MonomialContext:
                         else:
                             g = (target._join(op.name, fresh, same[i]) if flip
                                  else target._join(op.name, same[i], fresh))
-                            tables.append(_IndexMap(self, target,
-                                                    self._images({**same, i: g}, target)))
+                            tables.append(_IndexMap(self, target, _NodeImages(
+                                self, target, {**same, i: g})))
             self._lift_tables = tables
         return self._lift_tables
 
@@ -379,48 +418,78 @@ class _ColumnIndex(dict):
         return c
 
 
+class _NodeImages(dict):
+    """Source node id -> signed target node id, filled on first lookup.
+
+    A leaf maps by ``leaf`` (source label -> signed target id), a node to
+    the join of its children's images.  Both contexts are held by weak
+    references, as in ``_IndexMap``.
+    """
+
+    __slots__ = ("_source", "_target", "_leaf")
+
+    def __init__(self, source, target, leaf):
+        self._source = weakref.ref(source)
+        self._target = weakref.ref(target)
+        self._leaf = leaf
+
+    def __missing__(self, i):
+        code = self._source().nodes[i]
+        image = self[i] = (self._leaf[code] if code.__class__ is int
+                           else self._target()._join(code[0], self[code[1]], self[code[2]]))
+        return image
+
+
 class _IndexMap(dict):
     """An index map column -> (image column, sign), filled on first lookup.
 
-    ``img`` holds the target images of the source's proper nodes.  Without
+    ``img`` gives the target images of the source's proper nodes.  Without
     ``times_fresh`` a column op(a, b) maps to op(img[a], img[b]); with
     ``times_fresh`` = (op_name, flip) it maps to op_name(e, x_{n+1}), or
     op_name(x_{n+1}, e) if flip, where e is op(img[a], img[b]), the column
-    embedded in the target.  ``type_of`` gives the type of an image without
-    enumerating it.  Both contexts are held by weak references: a context
-    keeps its tables, so a table keeping its context would be a cycle.
+    embedded in the target.  ``_types`` maps each located column to the type
+    of its image, which ``type_of`` reads without enumerating the type; the
+    image column is resolved at once only if that type is enumerated
+    already, and otherwise when it is looked up.  No leaf-word is kept.
+    Both contexts are held by weak references: a context keeps its tables,
+    so a table keeping its context would be a cycle.
     """
 
-    __slots__ = ("_source", "_target", "_img", "_times_fresh", "_located")
+    __slots__ = ("_source", "_target", "_img", "_times_fresh", "_types")
 
     def __init__(self, source, target, img, times_fresh=None):
         self._source = weakref.ref(source)
         self._target = weakref.ref(target)
         self._img = img
         self._times_fresh = times_fresh
-        self._located = {}  # column -> (type, leaf-word, negated) of its image
+        self._types = {}
 
     def _locate(self, c):
-        located = self._located.get(c)
-        if located is None:
-            code, img, target = self._source()._code(c), self._img, self._target()
-            if self._times_fresh is None:
-                image = (code[0], img[code[1]], img[code[2]])
-            else:
-                e = (target.node_id[code] if code.__class__ is int
-                     else target._join(code[0], img[code[1]], img[code[2]]))
-                name, flip = self._times_fresh
-                fresh = target.node_id[target.n]
-                image = (name, fresh, e) if flip else (name, e, fresh)
-            located = self._located[c] = target._locate(*image)
-        return located
+        """(type, leaf-word, negated) of the image of column c."""
+        code, img, target = self._source()._code(c), self._img, self._target()
+        if self._times_fresh is None:
+            return target._locate(code[0], img[code[1]], img[code[2]])
+        e = (target.node_id[code] if code.__class__ is int
+             else target._join(code[0], img[code[1]], img[code[2]]))
+        name, flip = self._times_fresh
+        fresh = target.node_id[target.n]
+        return target._locate(name, fresh, e) if flip else target._locate(name, e, fresh)
 
     def type_of(self, c):
         """The type of the image of column c."""
-        return self._locate(c)[0]
+        t = self._types.get(c)
+        if t is None:
+            t, word, neg = self._locate(c)
+            self._types[c] = t
+            columns = self._target()._columns[t]
+            if columns is not None:
+                j = columns[word]
+                self[c] = (j, -1) if neg else (j, 1)
+        return t
 
     def __missing__(self, c):
         t, word, neg = self._locate(c)
+        self._types[c] = t
         j = self._target()._type_columns(t)[word]
         entry = self[c] = (j, -1) if neg else (j, 1)
         return entry

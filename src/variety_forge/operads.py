@@ -25,7 +25,7 @@ from .engine import (Variety, apply_index_map, at_sample_point, consequences,
                      dim_multilinear, get_context, row_to_element)
 from .exprs import parse_expr
 from .linalg import nullspace
-from .scalar import RationalFunction, join_signed, signed_term
+from .scalar import join_signed, signed_term
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, SYMMETRIC, Monomial,
                     OpSymbol, Permutation, normalize, normalize_tree)
 
@@ -126,31 +126,6 @@ def block_basis(v: Variety, block: str):
             ((mono, _),) = e.terms.items()
             out.append(mono)
     return out
-
-
-def dual_relation_matrix(v: Variety, block: str):
-    """Coefficient rows of v's identities on the block, in the listed order.
-
-    Identities with no support on the block are skipped; one that
-    straddles the block boundary is an error since the printed matrices are
-    block-homogeneous.
-    """
-    basis = block_basis(v, block)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for rel in v.identities:
-        row = [None] * len(basis)
-        inside = 0
-        for mono, coeff in rel.terms.items():
-            if mono in index:
-                row[index[mono]] = coeff
-                inside += 1
-        if inside == 0:
-            continue
-        if inside != len(rel.terms):
-            raise OperadError("relation %s straddles the %s block" % (rel, block))
-        rows.append([c if c is not None else RationalFunction(0) for c in row])
-    return rows
 
 
 # ---------------------------------------------------------------------------

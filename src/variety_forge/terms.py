@@ -7,11 +7,10 @@ Canonical form orders the children of every symmetric or antisymmetric node by
 the fixed total order on subtrees (shape, then operation labels, then the leaf
 word); reordering under an antisymmetric node flips the sign.
 
-Enumeration goes through ``SubtreeCoder``, which gives every canonical
-subtree over a set of leaves an integer id, each after its children, and
-interns the parts of the keys (shape, op-word, leaf-word): equal tuples are
-one shared object.  ``proper_subtrees`` codes the subtrees over every proper subset of
-1..n, the registry an arity-n monomial context is built on.
+``enumerate_monomials`` lists every canonical monomial of one arity through
+``_SubtreeCoder``, which records every canonical subtree over a set of
+leaves once, each after its children.  It is the reference for the arity
+contexts of the engine, which record only the subtrees they need.
 
 Elements are finite sums of canonical monomials with coefficients in Q(d);
 an identity is an element asserted to vanish.
@@ -414,34 +413,23 @@ def enumerate_monomials(n: int, ops) -> list:
     """
     if n < 1:
         raise TermError("arity must be positive")
-    coder = SubtreeCoder(ops)
+    coder = _SubtreeCoder(ops)
     top = sorted(coder.subtrees(frozenset(range(1, n + 1))), key=coder.keys.__getitem__)
     return [Monomial(coder.trees[t], n, coder.keys[t]) for t in top]
 
 
-def proper_subtrees(n: int, ops) -> "SubtreeCoder":
-    """A SubtreeCoder holding every canonical subtree over every nonempty
-    proper subset of 1..n, and nothing else."""
-    coder = SubtreeCoder(ops)
-    if n >= 2:
-        full = frozenset(range(1, n + 1))
-        for i in full:
-            coder.subtrees(full - {i})
-    return coder
-
-
-class SubtreeCoder:
+class _SubtreeCoder:
     """Canonical subtrees by leaf set, each recorded once under an id.
 
-    Per id: the key (components interned), the nested-tuple tree, and the
-    code, a leaf label or (op_name, left_id, right_id).  Ids count up in the
-    order of recording, which puts every subtree after its children;
-    ``by_leafset`` maps each leaf set coded so far to the ids over it.
+    Per id: the key (components interned) and the nested-tuple tree.  Ids
+    count up in the order of recording, which puts every subtree after its
+    children; ``by_leafset`` maps each leaf set coded so far to the ids over
+    it.
     """
 
     def __init__(self, ops):
         self.ops = tuple(ops)
-        self.keys, self.trees, self.codes = [], [], []
+        self.keys, self.trees = [], []
         self._intern = {}
         self.by_leafset = {}
 
@@ -453,7 +441,7 @@ class SubtreeCoder:
         out = []
         if len(leafset) == 1:
             (leaf,) = leafset
-            out.append(self._record(leaf, leaf, ((1,), (), (leaf,))))
+            out.append(self._record(leaf, ((1,), (), (leaf,))))
         members = sorted(leafset)
         anchor = members[0]
         rest = members[1:]
@@ -481,14 +469,13 @@ class SubtreeCoder:
         # _tree_key of (name, tree_x, tree_y), composed from the children's keys
         kx, ky = self.keys[x], self.keys[y]
         key = ((0,) + kx[0] + ky[0], (name,) + kx[1] + ky[1], kx[2] + ky[2])
-        return self._record((name, x, y), (name, self.trees[x], self.trees[y]), key)
+        return self._record((name, self.trees[x], self.trees[y]), key)
 
-    def _record(self, code, tree, key):
+    def _record(self, tree, key):
         intern = self._intern
         self.keys.append(tuple(intern.setdefault(part, part) for part in key))
         self.trees.append(tree)
-        self.codes.append(code)
-        return len(self.codes) - 1
+        return len(self.trees) - 1
 
 
 # ---------------------------------------------------------------------------

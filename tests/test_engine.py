@@ -421,6 +421,23 @@ def test_arity6_enumerates_only_the_live_types(name, types, columns):
     m = other.monomials[other.offsets[min(units)]]
     assert is_consequence(v, Element(6, {m: 1}), 6)
     assert _enumerated_types(ctx) == sorted(live) and not ctx.index
+    # the registry records only the subtrees that the live types and the
+    # index-map images reach (12,156 proper subtrees at n = 6)
+    assert len(ctx.nodes) < 3000
+    # the arity-7 context is its counted type list, and records no subtree
+    ctx7 = get_context(v.ops, 7)
+    assert ctx7.ncols == double_factorial_count(7, 2) == 665280
+    assert len(ctx7.type_blocks()) == 616 and not ctx7.nodes
+
+
+def test_mixed_poisson_one_arity_past_the_guard(monkeypatch):
+    # MP(7) = 6! + 1, the paper's count one arity past the shipped guard
+    monkeypatch.setattr(engine, "MAX_ARITY", 7)
+    clear_cache()
+    try:
+        assert dim_multilinear(variety("mixed-poisson"), 7) == math.factorial(6) + 1
+    finally:
+        clear_cache()
 
 
 def _reference_levels(v, top):

@@ -12,15 +12,40 @@ from variety_forge.exprs import format_element, parse_expr
 from variety_forge.linalg import RowBasis
 from variety_forge.operads import (OperadError, Series, _check_quadratic,
                                    _dual_signature, _leaf_sign, _swap_ops,
-                                   block_basis, compose, dual_relation_matrix,
-                                   free_delta_p_basis, hilbert_series,
-                                   koszul_dual, koszulness_witness)
-from variety_forge.scalar import DELTA
+                                   block_basis, compose, free_delta_p_basis,
+                                   hilbert_series, koszul_dual,
+                                   koszulness_witness)
+from variety_forge.scalar import DELTA, RationalFunction
 from variety_forge.terms import (BRACKET, DOT, OpSymbol, Permutation, act,
                                  normalize_tree)
 
 F = Fraction
 d = DELTA
+
+
+def dual_relation_matrix(v: Variety, block: str):
+    """Coefficient rows of v's identities on the block, in the listed order.
+
+    Identities with no support on the block are skipped; one that
+    straddles the block boundary is an error since the printed matrices are
+    block-homogeneous.
+    """
+    basis = block_basis(v, block)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for rel in v.identities:
+        row = [None] * len(basis)
+        inside = 0
+        for mono, coeff in rel.terms.items():
+            if mono in index:
+                row[index[mono]] = coeff
+                inside += 1
+        if inside == 0:
+            continue
+        if inside != len(rel.terms):
+            raise OperadError("relation %s straddles the %s block" % (rel, block))
+        rows.append([c if c is not None else RationalFunction(0) for c in row])
+    return rows
 
 
 def test_printed_mixed_matrix_of_the_self_dual_family():

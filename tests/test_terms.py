@@ -5,13 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from variety_forge.engine import MonomialContext
 from variety_forge.exprs import parse_expr
 from variety_forge.scalar import RF_ONE
 from variety_forge.terms import (BRACKET, DOT, OpSymbol,
-                                 Permutation, TermError, act, depolarize_expr,
-                                 enumerate_monomials, multilinearize,
-                                 multiply_by_var, normalize, polarize_expr,
-                                 proper_subtrees, substitute)
+                                 Permutation, TermError, _tree_key, act,
+                                 depolarize_expr, enumerate_monomials,
+                                 multilinearize, multiply_by_var, normalize,
+                                 polarize_expr, substitute)
 
 from conftest import ONE_OP, OP_SETS, TWO_OPS, random_element, seeded
 
@@ -118,23 +119,28 @@ def test_coded_enumeration(name):
                 seen.add(normalize(tree, ops)[1])
         assert monos == sorted(seen)
         assert [m.key for m in monos] == sorted(m.key for m in monos)
-        coder = proper_subtrees(n, ops)
-        nodes = coder.codes
-        for i, code in enumerate(nodes):
-            if isinstance(code, tuple):
-                assert all(c < i for c in code[1:])
-        trees = [_decode(nodes, i) for i in range(len(nodes))]
-        assert trees == coder.trees
-        # every canonical subtree over every nonempty proper subset of 1..n, once
-        by_leafset = {}
-        for i, tree in enumerate(trees):
-            sign, mono = normalize(tree, ops, fragment=True)
-            assert sign == 1 and mono.tree == tree and mono.key == coder.keys[i]
-            by_leafset.setdefault(frozenset(mono.leaves()), []).append(i)
-        assert by_leafset == coder.by_leafset
-        assert len(by_leafset) == 2 ** n - 2
-        for leafset, group in by_leafset.items():
-            assert len(group) == len(enumerate_monomials(len(leafset), ops))
+    # an arity-6 context records the subtrees over 1..k of each kind, the
+    # types of arity k, on demand; they are that type's monomials
+    ctx = MonomialContext(ops, 6)
+    assert not ctx.nodes
+    for k in range(1, 6):
+        reference = {}
+        for m in enumerate_monomials(k, ops):
+            reference.setdefault(m.key[:2], []).append(m.tree)
+        kinds = [kind for kind, size in enumerate(ctx._kind_size) if size == k]
+        assert sorted(ctx._kind_keys[kind] for kind in kinds) == sorted(reference)
+        for kind in kinds:
+            trees = [_decode(ctx.nodes, i) for i in ctx.of_kind(frozenset(range(1, k + 1)), kind)]
+            assert sorted(trees, key=_tree_key) == reference[ctx._kind_keys[kind]]
+    nodes = ctx.nodes
+    for i, code in enumerate(nodes):
+        if isinstance(code, tuple):
+            assert all(c < i for c in code[1:])
+    trees = [_decode(nodes, i) for i in range(len(nodes))]
+    # every node is keyed by its tree, and each subtree has one id
+    assert [_tree_key(tree) for tree in trees] == ctx._keys
+    assert len(set(trees)) == len(trees)
+    assert all(ctx.node_id[code] == i for i, code in enumerate(nodes))
 
 
 def test_enumerate_order_is_deterministic():
