@@ -2,9 +2,10 @@
 
 Modules: scalar (exact Q and Q(d) arithmetic), terms (canonical monomials and
 elements), exprs (identity expression parsing/printing), linalg (sparse exact
-row reduction), engine (T-ideal consequence spaces), algebras
-(structure-constant evaluation), operads (Koszul duals and Hilbert series),
-catalog (every named identity, variety and example algebra), cli.
+row reduction), engine (per-arity monomial contexts and T-ideal consequence
+spaces), algebras (structure-constant evaluation), operads (Koszul duals and
+Hilbert series), catalog (every named identity, variety and example algebra),
+cli.
 """
 
 from .algebras import (Algebra, AlgebraError, CheckReport, load_algebra,
@@ -12,7 +13,8 @@ from .algebras import (Algebra, AlgebraError, CheckReport, load_algebra,
 from .catalog import algebra, identity, one_op_variety, presentation, variety
 from .engine import (ArityOverflowError, ConsequenceSpace, EngineError,
                      Variety, consequences, depolarize_variety,
-                     dim_multilinear, equivalent, is_consequence, load_variety)
+                     dim_multilinear, enumerate_monomials, equivalent,
+                     is_consequence, load_variety)
 from .exprs import format_element, parse_expr, parse_scalar
 from .linalg import RowBasis, nullspace, rank
 from .operads import (FreeBasisReport, KoszulVerdict, Series, compose,
@@ -20,7 +22,7 @@ from .operads import (FreeBasisReport, KoszulVerdict, Series, compose,
                       koszulness_witness)
 from .scalar import DELTA, PoleError, RationalFunction
 from .terms import (BRACKET, DOT, Element, Monomial, OpSymbol, Permutation,
-                    act, depolarize_expr, enumerate_monomials, multilinearize,
-                    multiply_by_var, normalize, polarize_expr, substitute)
+                    act, depolarize_expr, multilinearize, multiply_by_var,
+                    normalize, polarize_expr, substitute)
 
 __version__ = "0.1.0"

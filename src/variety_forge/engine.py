@@ -181,6 +181,7 @@ class MonomialContext:
         self._monomials = None
         self._perm_tables = None
         self._lift_tables = None
+        self._lift_target = None
 
     def _count_types(self):
         """Sorted [((shape, op-word), (op_name, A, B))], and the type sizes.
@@ -319,9 +320,9 @@ class MonomialContext:
             self._monomials = out
         return self._monomials
 
-    def _join(self, name, a, b):
-        """Signed id of the canonical form of name(a, b) over a proper subset,
-        a and b signed ids; recorded if new."""
+    def _ordered(self, name, a, b):
+        """(a, b, negated): the ids of name(a, b)'s children in canonical
+        order, a and b signed ids, and whether the node is negated."""
         neg = False
         if a < 0:
             a, neg = ~a, True
@@ -333,30 +334,26 @@ class MonomialContext:
             a, b = b, a
             if symmetry == ANTISYMMETRIC:
                 neg = not neg
+        return a, b, neg
+
+    def _join(self, name, a, b):
+        """Signed id of the canonical form of name(a, b) over a proper subset,
+        a and b signed ids; recorded if new."""
+        a, b, neg = self._ordered(name, a, b)
         i = self.node_id.get((name, a, b))
         if i is None:
             kind = self._kind
             i = self._node((name, a, b), self._kind_of_spec[name, kind[a], kind[b]],
-                           keys[a][2] + keys[b][2])
+                           self._keys[a][2] + self._keys[b][2])
         return ~i if neg else i
 
     def _locate(self, name, a, b):
         """(type, leaf-word, negated) of the canonical form of name(a, b) over
         all of 1..n, a and b signed ids; the type is not enumerated."""
-        # the children ordered as in _join, inline: this runs per located column
-        neg = False
-        if a < 0:
-            a, neg = ~a, True
-        if b < 0:
-            b, neg = ~b, not neg
-        keys = self._keys
-        symmetry = self.table[name]
-        if symmetry != NONE and keys[a] > keys[b]:
-            a, b = b, a
-            if symmetry == ANTISYMMETRIC:
-                neg = not neg
+        a, b, neg = self._ordered(name, a, b)
         kind = self._kind
-        return (self._type_of_spec[name, kind[a], kind[b]], keys[a][2] + keys[b][2], neg)
+        return (self._type_of_spec[name, kind[a], kind[b]],
+                self._keys[a][2] + self._keys[b][2], neg)
 
     def perm_generator_tables(self):
         """Index maps for the S_n generators (1 2) and (1 2 ... n)."""
@@ -372,32 +369,33 @@ class MonomialContext:
                 for s in gens]
         return self._perm_tables
 
-    def lift_tables(self, target: "MonomialContext"):
-        """Index maps arity n -> n+1 for all elementary consequence steps.
+    def lift_tables(self):
+        """Index maps arity n -> n+1 for all elementary consequence steps,
+        into ``get_context(self.ops, self.n + 1)``.
 
         Per operation and orientation: multiplication by the fresh variable,
         then the substitutions x_i <- op(x_i, x_{n+1}) for i = 1..n.  At
-        n = 1 the substitution is the multiplication.
+        n = 1 the substitution is the multiplication, so it has no table.
         """
         if self._lift_tables is None:
             n = self.n
+            target = get_context(self.ops, n + 1)
             same = {i: target._leaf(i) for i in range(1, n + 1)}
             fresh = target._leaf(n + 1)
             embedded = _NodeImages(self, target, same)
             tables = []
             for op in self.ops:
                 for flip in ((False,) if op.symmetry != NONE else (False, True)):
-                    times_fresh = (op.name, flip)
-                    tables.append(_IndexMap(self, target, embedded, times_fresh))
-                    for i in range(1, n + 1):
-                        if n == 1:
-                            tables.append(_IndexMap(self, target, embedded, times_fresh))
-                        else:
-                            g = (target._join(op.name, fresh, same[i]) if flip
-                                 else target._join(op.name, same[i], fresh))
-                            tables.append(_IndexMap(self, target, _NodeImages(
-                                self, target, {**same, i: g})))
+                    tables.append(_IndexMap(self, target, embedded, (op.name, flip)))
+                    for i in range(1, n + 1) if n > 1 else ():
+                        g = (target._join(op.name, fresh, same[i]) if flip
+                             else target._join(op.name, same[i], fresh))
+                        tables.append(_IndexMap(self, target, _NodeImages(
+                            self, target, {**same, i: g})))
             self._lift_tables = tables
+            # the tables hold their target weakly, so keep it while they live:
+            # they then still resolve after clear_cache drops it from the cache
+            self._lift_target = target
         return self._lift_tables
 
 
@@ -501,6 +499,16 @@ def get_context(ops, n) -> MonomialContext:
     if ctx is None:
         ctx = _CONTEXTS[key] = MonomialContext(ops, n)
     return ctx
+
+
+def enumerate_monomials(n: int, ops) -> list:
+    """All canonical multilinear monomials of arity n, in column order.
+
+    For k operations all carrying a symmetry the count is (2n-3)!! * k^(n-1).
+    """
+    if n < 1:
+        raise EngineError("arity must be positive")
+    return list(get_context(ops, n).monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +755,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     if any(e.arity < n for e in v.identities):
         prev = consequences(v, n - 1)
         prev_ctx = get_context(v.ops, n - 1)
-        lifts = prev_ctx.lift_tables(ctx)
+        lifts = prev_ctx.lift_tables()
         prev_unit = prev.basis.unit
         for start in prev_ctx.offsets[:-1]:
             if prev_unit[start]:

@@ -256,14 +256,6 @@ class RowBasis:
             row = rows.get(p)
             yield p, {p: one} if row is None else row
 
-    def copy(self) -> "RowBasis":
-        out = RowBasis(self.ncols, self.domain)
-        out.rows = {p: dict(r) for p, r in self.rows.items()}
-        out.occ = {c: list(qs) for c, qs in self.occ.items()}
-        out.unit[:] = self.unit
-        out.units = self.units
-        return out
-
     def _eliminate(self, r, s, p):
         """r <- a*r - b*s in place, with (a, b) = cancel(s[p], r[p]); r[p] becomes zero."""
         dom = self.domain

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .engine import (Variety, apply_index_map, at_sample_point, consequences,
                      dim_multilinear, get_context, row_to_element)
-from .exprs import parse_expr
 from .linalg import nullspace
 from .scalar import join_signed, signed_term
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, SYMMETRIC, Monomial,
@@ -97,35 +96,6 @@ def koszul_dual(v: Variety) -> Variety:
     relations = tuple(row_to_element(row, dual_ctx.monomials, 3)
                       for row in kernel.field_rows())
     return Variety(dual_ops, relations, delta=v.delta, name=v.name + "!")
-
-
-# ---------------------------------------------------------------------------
-# the fixed ordered arity-3 sub-bases used for relation matrices
-
-_BLOCK_SOURCES = {
-    "mixed": ("bracket(dot(x1,x2),x3)", "bracket(dot(x1,x3),x2)", "bracket(dot(x2,x3),x1)",
-              "dot(bracket(x1,x2),x3)", "dot(bracket(x1,x3),x2)", "dot(bracket(x2,x3),x1)"),
-    "pure-dot": ("dot(dot(x1,x2),x3)", "dot(dot(x1,x3),x2)", "dot(dot(x2,x3),x1)"),
-    "pure-bracket": ("bracket(bracket(x1,x2),x3)", "bracket(bracket(x1,x3),x2)",
-                     "bracket(bracket(x2,x3),x1)"),
-}
-
-
-def block_basis(v: Variety, block: str):
-    """The fixed ordered sub-basis, restricted to the available generators."""
-    try:
-        sources = _BLOCK_SOURCES[block]
-    except KeyError:
-        raise OperadError("unknown block %r (mixed | pure-dot | pure-bracket)" % block)
-    names = {op.name for op in v.ops}
-    out = []
-    for src in sources:
-        used = {w for w in ("dot", "bracket") if w in src}
-        if used <= names:
-            e = parse_expr(src, v.ops)
-            ((mono, _),) = e.terms.items()
-            out.append(mono)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -406,15 +406,12 @@ def _as_poly(v) -> Poly:
 def _reduce(num: Poly, den: Poly):
     if not num:
         return PZERO, PONE
+    # g holds the gcd of the contents, so by Gauss's lemma the quotients
+    # have coprime contents
     g = pgcd(num, den)
     if pdeg(g) > 0 or (g and g[0] not in (1, -1)):
         num = pdivexact(num, g)
         den = pdivexact(den, g)
-    cn, cd = pcontent(num), pcontent(den)
-    c = math.gcd(cn, cd)
-    if c > 1:
-        num = tuple(v // c for v in num)
-        den = tuple(v // c for v in den)
     if den[-1] < 0:
         num, den = pneg(num), pneg(den)
     return num, den

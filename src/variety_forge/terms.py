@@ -7,11 +7,6 @@ Canonical form orders the children of every symmetric or antisymmetric node by
 the fixed total order on subtrees (shape, then operation labels, then the leaf
 word); reordering under an antisymmetric node flips the sign.
 
-``enumerate_monomials`` lists every canonical monomial of one arity through
-``_SubtreeCoder``, which records every canonical subtree over a set of
-leaves once, each after its children.  It is the reference for the arity
-contexts of the engine, which record only the subtrees they need.
-
 Elements are finite sums of canonical monomials with coefficients in Q(d);
 an identity is an element asserted to vanish.
 
@@ -401,81 +396,6 @@ def multiply_by_var(e: Element, op: OpSymbol, position: str = "right") -> Elemen
         tree = (op.name, left, right)
         out._add(Monomial(tree, fresh, _tree_key(tree)), coeff if sign == 1 else -coeff)
     return out
-
-
-# ---------------------------------------------------------------------------
-# monomial enumeration
-
-def enumerate_monomials(n: int, ops) -> list:
-    """All canonical multilinear monomials of arity n, in the total order.
-
-    For k operations all carrying a symmetry the count is (2n-3)!! * k^(n-1).
-    """
-    if n < 1:
-        raise TermError("arity must be positive")
-    coder = _SubtreeCoder(ops)
-    top = sorted(coder.subtrees(frozenset(range(1, n + 1))), key=coder.keys.__getitem__)
-    return [Monomial(coder.trees[t], n, coder.keys[t]) for t in top]
-
-
-class _SubtreeCoder:
-    """Canonical subtrees by leaf set, each recorded once under an id.
-
-    Per id: the key (components interned) and the nested-tuple tree.  Ids
-    count up in the order of recording, which puts every subtree after its
-    children; ``by_leafset`` maps each leaf set coded so far to the ids over
-    it.
-    """
-
-    def __init__(self, ops):
-        self.ops = tuple(ops)
-        self.keys, self.trees = [], []
-        self._intern = {}
-        self.by_leafset = {}
-
-    def subtrees(self, leafset):
-        """Ids of every canonical subtree over leafset."""
-        out = self.by_leafset.get(leafset)
-        if out is not None:
-            return out
-        out = []
-        if len(leafset) == 1:
-            (leaf,) = leafset
-            out.append(self._record(leaf, ((1,), (), (leaf,))))
-        members = sorted(leafset)
-        anchor = members[0]
-        rest = members[1:]
-        keys = self.keys
-        # unordered partitions: A holds the smallest leaf, B = leafset - A is
-        # nonempty
-        for r in range(len(rest)):
-            for extra in itertools.combinations(rest, r):
-                a = frozenset((anchor,) + extra)
-                ids_a, ids_b = self.subtrees(a), self.subtrees(leafset - a)
-                for op in self.ops:
-                    for x in ids_a:
-                        for y in ids_b:
-                            if op.symmetry == NONE:
-                                out.append(self._node(op.name, x, y))
-                                out.append(self._node(op.name, y, x))
-                            elif keys[x] <= keys[y]:
-                                out.append(self._node(op.name, x, y))
-                            else:
-                                out.append(self._node(op.name, y, x))
-        self.by_leafset[leafset] = out
-        return out
-
-    def _node(self, name, x, y):
-        # _tree_key of (name, tree_x, tree_y), composed from the children's keys
-        kx, ky = self.keys[x], self.keys[y]
-        key = ((0,) + kx[0] + ky[0], (name,) + kx[1] + ky[1], kx[2] + ky[2])
-        return self._record((name, self.trees[x], self.trees[y]), key)
-
-    def _record(self, tree, key):
-        intern = self._intern
-        self.keys.append(tuple(intern.setdefault(part, part) for part in key))
-        self.trees.append(tree)
-        return len(self.trees) - 1
 
 
 # ---------------------------------------------------------------------------

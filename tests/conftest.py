@@ -1,5 +1,7 @@
 """Shared strategies and helpers for the test suite."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ from hypothesis import HealthCheck, settings
 
 from variety_forge.engine import Variety
 from variety_forge.scalar import RationalFunction
-from variety_forge.terms import BRACKET, DOT, PLAIN, Element, OpSymbol, enumerate_monomials
+from variety_forge.terms import (BRACKET, DOT, PLAIN, Element, OpSymbol, normalize_tree,
+                                 ops_table)
 
 settings.register_profile(
     "suite", deadline=None, max_examples=60,
@@ -50,6 +53,32 @@ def dense_rref(rows, ncols, to_field=Fraction):
     return [{c: v for c, v in enumerate(r) if v} for r in done]
 
 
+@functools.lru_cache(maxsize=None)
+def _normal_forms(leaves, ops):
+    """The sorted Monomials over the leaf labels: the normal forms of
+    op(a, b) for every op and every split of the labels into two nonempty
+    parts, with a and b normal forms over their parts."""
+    table = ops_table(ops)
+    if len(leaves) == 1:
+        return (normalize_tree(leaves[0], table, fragment=True)[1],)
+    found = set()
+    for k in range(1, len(leaves)):
+        for left in itertools.combinations(leaves, k):
+            right = tuple(i for i in leaves if i not in left)
+            for a in _normal_forms(left, ops):
+                for b in _normal_forms(right, ops):
+                    for op in ops:
+                        found.add(normalize_tree((op.name, a.tree, b.tree), table,
+                                                 fragment=True)[1])
+    return tuple(sorted(found))
+
+
+def reference_monomials(n, ops):
+    """Every canonical monomial of arity n, in the total order, built by
+    ``normalize_tree`` alone: the oracle for the arity contexts."""
+    return list(_normal_forms(tuple(range(1, n + 1)), tuple(ops)))
+
+
 def with_identities(v, extra):
     """v with the identities in extra added, at the same d."""
     return Variety(v.ops, v.identities + tuple(extra), delta=v.delta, name=v.name)
@@ -70,7 +99,7 @@ def random_rational_function(rng, degree=2, span=4):
 
 
 def random_element(rng, ops, arity, max_terms=4, delta_coeffs=False):
-    monos = enumerate_monomials(arity, ops)
+    monos = reference_monomials(arity, ops)
     e = Element(arity)
     for mono in rng.sample(monos, min(max_terms, len(monos))):
         if delta_coeffs:

@@ -118,6 +118,13 @@ def test_koszul_command(capsys):
 def test_free_basis_command(capsys):
     code, out, _ = run(capsys, "free-basis", "--arity", "5", "--no-timing")
     assert code == 0 and out == "24 + 6 + 1 = 31\n"
+    # verbose adds the report: its head line, then each family under a header
+    code, out, _ = run(capsys, "free-basis", "--arity", "3", "-v", "--no-timing")
+    lines = out.splitlines()
+    assert code == 0 and lines[:2] == ["2 + 3 + 1 = 6",
+                                       "free basis, multilinear arity 3: 2 + 3 + 1 = 6"]
+    headers = [line.strip() for line in lines if line.endswith("):")]
+    assert headers == ["lie (2):", "var-times-bracket (3):", "product (1):"]
 
 
 def test_export_catalog_roundtrip(capsys, tmp_path):

@@ -15,16 +15,18 @@ from variety_forge.catalog import (algebra, identity, one_op_variety, variety,
                                    variety_names)
 from variety_forge.engine import (ArityOverflowError, EngineError,
                                   MonomialContext, Variety, clear_cache,
-                                  consequences, dim_multilinear, equivalent,
+                                  consequences, dim_multilinear,
+                                  enumerate_monomials, equivalent,
                                   format_variety, get_context, is_consequence,
                                   parse_variety_text, row_to_element)
+from variety_forge.exprs import parse_expr
 from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
 from variety_forge.scalar import DELTA
 from variety_forge.terms import (BRACKET, DOT, NONE, Element, OpSymbol,
-                                 Permutation, act, act_monomial, enumerate_monomials,
+                                 Permutation, act, act_monomial,
                                  normalize_tree, substitute_tree)
 
-from conftest import OP_SETS, TWO_OPS, with_identities
+from conftest import OP_SETS, TWO_OPS, reference_monomials, with_identities
 from test_terms import double_factorial_count
 
 F = Fraction
@@ -173,6 +175,25 @@ def test_sampled_membership_of_a_target_with_a_root_or_pole_at_the_point():
     no = identity("idtp1").scale((13 * DELTA - 51) ** 2)
     assert is_consequence(dp, yes, 3) and is_consequence(dp, yes, 3, mode="sampled")
     assert not is_consequence(dp, no, 3) and not is_consequence(dp, no, 3, mode="sampled")
+
+
+@pytest.mark.parametrize("target,expected", [
+    ("d*bracket(dot(x1,x2),x3)", True),
+    ("bracket(dot(x1,x2),x3) + d*dot(x1,bracket(x2,x3))", True),
+    ("d^2*dot(dot(x1,x2),x3) - d^2*dot(x1,dot(x2,x3))", True),
+    ("(1+d)*dot(dot(x1,x2),x3)", False),
+    ("dot(dot(x1,x2),x3) - dot(x1,dot(x2,x3)) + d*dot(dot(x1,x2),x3)", False),
+])
+def test_d_dependent_target_against_a_d_free_span(target, expected):
+    # mixed-poisson's span holds no d, so the target lies in it iff each of
+    # its d-power components does; the first two targets lie in types of
+    # unit rows, whose terms are dropped unread; the other three are split
+    # by powers of d
+    mp = variety("mixed-poisson")
+    e = parse_expr(target, mp.ops)
+    with pytest.raises(ValueError):
+        engine.element_to_row(e, get_context(mp.ops, 3), mp.delta, mp.domain)
+    assert is_consequence(mp, e, 3) is expected
 
 
 def test_sampled_equivalence_shares_one_point():
@@ -391,7 +412,7 @@ def test_types_enumerate_in_column_order(ops, top):
         # the counted sizes are the enumerated ones, and the types one after
         # the other are the monomials in the total order
         assert [len(ctx._type_columns(t)) for t in range(len(sizes))] == sizes
-        reference = enumerate_monomials(n, ops)
+        reference = reference_monomials(n, ops)
         assert ctx.monomials == reference
         assert [m.tree for m in ctx.monomials] == [m.tree for m in reference]
         assert all(ctx.index[m] == c for c, m in enumerate(reference))
@@ -453,7 +474,7 @@ def _reference_levels(v, top):
         seeds = [engine.element_to_row(e, ctx, v.delta, domain)
                  for e in v.identities if e.arity == n]
         if prev is not None:
-            for table in get_context(v.ops, n - 1).lift_tables(ctx):
+            for table in get_context(v.ops, n - 1).lift_tables():
                 seeds += [engine.apply_index_map(row, table, neg)
                           for _, row in prev.items()]
         prev = RowBasis(len(ctx.monomials), domain)
@@ -499,8 +520,8 @@ def test_arity_two_identity_levels_and_the_level_cache(sign, monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def _reference_columns(ops, n):
-    """The monomials of ``terms.enumerate_monomials`` and monomial -> column."""
-    monomials = enumerate_monomials(n, ops)
+    """The monomials of ``reference_monomials`` and monomial -> column."""
+    monomials = reference_monomials(n, ops)
     return monomials, {m: c for c, m in enumerate(monomials)}
 
 
@@ -522,22 +543,23 @@ def _reference_perm_tables(ctx):
     return [_reference_table(sigma, ctx) for sigma in gens]
 
 
-def _reference_lift_tables(ctx, target):
+def _reference_lift_tables(ctx):
     fresh = ctx.n + 1
     monomials = _reference_columns(ctx.ops, ctx.n)[0]
-    index = _reference_columns(target.ops, target.n)[1]
+    index = _reference_columns(ctx.ops, fresh)[1]
     tables = []
     for op in ctx.ops:
         for flip in ((False,) if op.symmetry != "none" else (False, True)):
             raws = [[(op.name, fresh, m.tree) if flip else (op.name, m.tree, fresh)
                      for m in monomials]]
-            for i in range(1, ctx.n + 1):
+            # at arity 1 the substitution is the multiplication
+            for i in range(1, ctx.n + 1) if ctx.n > 1 else ():
                 g = (op.name, fresh, i) if flip else (op.name, i, fresh)
                 raws.append([substitute_tree(m.tree, i, g) for m in monomials])
             for trees in raws:
                 table = []
                 for raw in trees:
-                    sign, img = normalize_tree(raw, target.table)
+                    sign, img = normalize_tree(raw, ctx.table)
                     table.append((index[img], sign))
                 tables.append(table)
     return tables
@@ -550,24 +572,45 @@ def _every_column(tables, ctx):
 @pytest.mark.parametrize("name", sorted(OP_SETS))
 def test_index_maps_match_renormalised_trees(name):
     ops = OP_SETS[name]
-    contexts = [MonomialContext(ops, n) for n in range(1, 6)]
+    clear_cache()
+    contexts = [get_context(ops, n) for n in range(1, 6)]
     for ctx, target in zip(contexts, contexts[1:] + [None]):
         assert _every_column(ctx.perm_generator_tables(), ctx) == _reference_perm_tables(ctx)
         if target is not None:
-            lifts = ctx.lift_tables(target)
+            lifts = ctx.lift_tables()
             # the type of an image is read without enumerating any type
             types = [[table.type_of(c) for c in range(ctx.ncols)] for table in lifts]
             assert _enumerated_types(target) == []
-            reference = _reference_lift_tables(ctx, target)
+            reference = _reference_lift_tables(ctx)
             assert _every_column(lifts, ctx) == reference
             assert types == [[target.type_of(j) for j, _ in table] for table in reference]
 
 
 def test_index_maps_match_renormalised_trees_at_arity_six():
     ops = variety("anti-poisson").ops
-    ctx5, ctx6 = MonomialContext(ops, 5), MonomialContext(ops, 6)
-    assert _every_column(ctx5.lift_tables(ctx6), ctx5) == _reference_lift_tables(ctx5, ctx6)
+    clear_cache()
+    ctx5, ctx6 = get_context(ops, 5), get_context(ops, 6)
+    assert _every_column(ctx5.lift_tables(), ctx5) == _reference_lift_tables(ctx5)
     assert _every_column(ctx6.perm_generator_tables(), ctx6) == _reference_perm_tables(ctx6)
+
+
+def test_lift_tables_resolve_in_the_cached_next_level():
+    ops = variety("anti-poisson").ops
+    clear_cache()
+    ctx3 = get_context(ops, 3)
+    lifts = ctx3.lift_tables()
+    old4 = weakref.ref(get_context(ops, 4))
+    assert all(table._target() is old4() for table in lifts)
+    # tables kept past clear_cache resolve in the level 4 they were built into
+    clear_cache()
+    assert old4() is not None and _enumerated_types(old4()) == []
+    assert _every_column(lifts, ctx3) == _reference_lift_tables(ctx3)
+    # a new level 3 lifts into the new level 4
+    new3 = get_context(ops, 3)
+    new_lifts = new3.lift_tables()
+    assert new3 is not ctx3 and get_context(ops, 4) is not old4()
+    assert all(table._target() is get_context(ops, 4) for table in new_lifts)
+    assert _every_column(new_lifts, new3) == _reference_lift_tables(new3)
 
 
 def test_contexts_and_tables_die_with_the_cache():
@@ -580,7 +623,7 @@ def test_contexts_and_tables_die_with_the_cache():
         v = variety("anti-poisson")
         assert dim_multilinear(v, 4) == 12
         contexts = [get_context(v.ops, n) for n in (3, 4)]
-        tables = contexts[0].lift_tables(contexts[1]) + contexts[1].perm_generator_tables()
+        tables = contexts[0].lift_tables() + contexts[1].perm_generator_tables()
         refs = [weakref.ref(ctx) for ctx in contexts]
         del contexts
         clear_cache()

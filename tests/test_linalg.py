@@ -1,5 +1,6 @@
 """Sparse exact row reduction over Q and Q(d): rank, nullspace, membership."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -211,7 +212,7 @@ def test_unit_range_reinserts_the_rows_it_holds_the_pivot_of(poly):
     insert, kill = _unit_row_checks(basis, to_field)
     insert({0: e(2), 2: e(1), 4: e(6)}, True)
     insert({1: e(3), 3: e(2), 4: e(-2), 5: e(6)}, True)
-    before = basis.copy()
+    before = copy.deepcopy(basis)
     # column 2 goes from row 0, which is divided by its content; row 1 goes
     # in again without column 1, as {3: 2, 4: -2, 5: 6} divided by 2
     kill(1, 3)
@@ -220,7 +221,7 @@ def test_unit_range_reinserts_the_rows_it_holds_the_pivot_of(poly):
     assert before.rows[1] == {1: e(3), 3: e(2), 4: e(-2), 5: e(6)} and not any(before.unit)
     # reduce and contains drop the flagged entries of a copy of the argument
     row = {1: e(5), 2: e(-1), 3: e(1), 4: e(-1), 5: e(3)}
-    arg, snapshot = dict(row), basis.copy()
+    arg, snapshot = dict(row), copy.deepcopy(basis)
     assert basis.reduce(row) == {} and basis.contains(row)
     assert basis.reduce({2: e(4), 4: e(1)}) == {4: e(1)}
     assert not basis.contains({1: e(1), 4: e(1)})
@@ -255,7 +256,7 @@ def test_copy_is_independent():
         src = RowBasis(4)
         for r in rows:
             src.insert(r)
-        dup = src.copy()
+        dup = copy.deepcopy(src)
         changed, kept = (dup, src) if into_copy else (src, dup)
         # column 2 becomes a unit row there only
         if by_range:
@@ -374,7 +375,7 @@ def test_reduced_form_invariants(seed, poly):
     rows = _expand(inserted, domain.one)
     probes = rows[:2] + _random_sparse_rows(rng, 3, ncols, poly)
     for row in probes:
-        before, snapshot = dict(row), basis.copy()
+        before, snapshot = dict(row), copy.deepcopy(basis)
         rem = basis.reduce(row)
         assert not any(c in basis.rows or basis.unit[c] for c in rem)
         in_span = rank([r for _, r in basis.items()] + [row], ncols, domain) == basis.rank

@@ -1,5 +1,6 @@
 """Koszul duals of quadratic varieties, Hilbert series, free bases."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from variety_forge.exprs import format_element, parse_expr
 from variety_forge.linalg import RowBasis
 from variety_forge.operads import (OperadError, Series, _check_quadratic,
                                    _dual_signature, _leaf_sign, _swap_ops,
-                                   block_basis, compose, free_delta_p_basis,
+                                   compose, free_delta_p_basis,
                                    hilbert_series, koszul_dual,
                                    koszulness_witness)
 from variety_forge.scalar import DELTA, RationalFunction
@@ -21,6 +22,32 @@ from variety_forge.terms import (BRACKET, DOT, OpSymbol, Permutation, act,
 
 F = Fraction
 d = DELTA
+
+# the fixed ordered arity-3 sub-bases of the printed relation matrices
+_BLOCK_SOURCES = {
+    "mixed": ("bracket(dot(x1,x2),x3)", "bracket(dot(x1,x3),x2)", "bracket(dot(x2,x3),x1)",
+              "dot(bracket(x1,x2),x3)", "dot(bracket(x1,x3),x2)", "dot(bracket(x2,x3),x1)"),
+    "pure-dot": ("dot(dot(x1,x2),x3)", "dot(dot(x1,x3),x2)", "dot(dot(x2,x3),x1)"),
+    "pure-bracket": ("bracket(bracket(x1,x2),x3)", "bracket(bracket(x1,x3),x2)",
+                     "bracket(bracket(x2,x3),x1)"),
+}
+
+
+def block_basis(v: Variety, block: str):
+    """The fixed ordered sub-basis, restricted to the available generators."""
+    try:
+        sources = _BLOCK_SOURCES[block]
+    except KeyError:
+        raise OperadError("unknown block %r (mixed | pure-dot | pure-bracket)" % block)
+    names = {op.name for op in v.ops}
+    out = []
+    for src in sources:
+        used = {w for w in ("dot", "bracket") if w in src}
+        if used <= names:
+            e = parse_expr(src, v.ops)
+            ((mono, _),) = e.terms.items()
+            out.append(mono)
+    return out
 
 
 def dual_relation_matrix(v: Variety, block: str):
@@ -274,7 +301,7 @@ def test_free_basis_is_complement_of_the_ideal():
     ap = variety("anti-poisson")
     space = consequences(ap, 5)
     ctx = get_context(ap.ops, 5)
-    basis = space.basis.copy()
+    basis = copy.deepcopy(space.basis)
     added = 0
     for _, monos in free_delta_p_basis(5).families:
         for m in monos:

@@ -5,16 +5,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from variety_forge.engine import MonomialContext
+from variety_forge.engine import EngineError, MonomialContext, enumerate_monomials
 from variety_forge.exprs import parse_expr
 from variety_forge.scalar import RF_ONE
 from variety_forge.terms import (BRACKET, DOT, OpSymbol,
                                  Permutation, TermError, _tree_key, act,
-                                 depolarize_expr, enumerate_monomials,
-                                 multilinearize, multiply_by_var, normalize,
+                                 depolarize_expr, multilinearize, multiply_by_var, normalize,
                                  polarize_expr, substitute)
 
-from conftest import ONE_OP, OP_SETS, TWO_OPS, random_element, seeded
+from conftest import ONE_OP, OP_SETS, TWO_OPS, random_element, reference_monomials, seeded
 
 
 def double_factorial_count(n: int, k: int) -> int:
@@ -65,6 +64,9 @@ def test_enumerate_counts():
     three_sym = (DOT, BRACKET, OpSymbol("wedge", "antisymmetric"))
     for n in range(2, 5):
         assert len(enumerate_monomials(n, three_sym)) == double_factorial_count(n, 3)
+    # arity 0 is rejected, not recursed into
+    with pytest.raises(EngineError):
+        enumerate_monomials(0, TWO_OPS)
 
 
 def test_enumerate_matches_bruteforce_normalization():
@@ -85,7 +87,7 @@ def test_enumerate_matches_bruteforce_normalization():
         for tree in ordered_trees(list(perm)):
             _, mono = normalize(tree, TWO_OPS)
             seen.add(mono)
-    assert seen == set(enumerate_monomials(3, TWO_OPS))
+    assert seen == set(enumerate_monomials(3, TWO_OPS)) == set(reference_monomials(3, TWO_OPS))
 
 
 def _ordered_trees(leaves, names):
@@ -111,21 +113,22 @@ def test_coded_enumeration(name):
     ops = OP_SETS[name]
     names = [op.name for op in ops]
     for n in range(1, 5):
-        monos = enumerate_monomials(n, ops)
-        # the arity-n monomials are exactly the normalized raw trees, sorted
+        # the arity-n monomials are exactly the normalized raw trees, sorted,
+        # both from the arity context and from the oracle of the tests
         seen = set()
         for perm in itertools.permutations(range(1, n + 1)):
             for tree in _ordered_trees(list(perm), names):
                 seen.add(normalize(tree, ops)[1])
-        assert monos == sorted(seen)
-        assert [m.key for m in monos] == sorted(m.key for m in monos)
+        for monos in (enumerate_monomials(n, ops), reference_monomials(n, ops)):
+            assert monos == sorted(seen)
+            assert [m.key for m in monos] == sorted(m.key for m in monos)
     # an arity-6 context records the subtrees over 1..k of each kind, the
     # types of arity k, on demand; they are that type's monomials
     ctx = MonomialContext(ops, 6)
     assert not ctx.nodes
     for k in range(1, 6):
         reference = {}
-        for m in enumerate_monomials(k, ops):
+        for m in reference_monomials(k, ops):
             reference.setdefault(m.key[:2], []).append(m.tree)
         kinds = [kind for kind, size in enumerate(ctx._kind_size) if size == k]
         assert sorted(ctx._kind_keys[kind] for kind in kinds) == sorted(reference)
