@@ -32,11 +32,11 @@ class AlgebraError(ValueError):
 
 
 class Algebra:
-    def __init__(self, dim, ops, products, params=None, name=""):
-        """products: iterable of (op_name, i, j, {k: Fraction}) with 1-based indices."""
+    def __init__(self, dim, ops, products, delta=None, name=""):
+        """products: (op_name, i, j, {k: Fraction}), 1-based; delta: d's value or None."""
         self.dim = int(dim)
         self.ops = tuple(ops)
-        self.params = {k: _F(v) for k, v in (params or {}).items()}
+        self.delta = _F(delta) if delta is not None else None
         self.name = name
         self._symmetry = ops_table(self.ops)
         self.tables = {op.name: {} for op in self.ops}
@@ -111,7 +111,7 @@ class Algebra:
             raise AlgebraError("algebra lacks operations %s" % sorted(missing))
 
     def _coefficients(self, e: Element, delta):
-        q = delta if delta is not None else self.params.get("delta")
+        q = delta if delta is not None else self.delta
         out = []
         for coeff in e.terms.values():
             if coeff.is_constant():
@@ -180,13 +180,12 @@ class Algebra:
                         _add_scaled(acc, comps, a * b)
         return {key: vec for key, vec in out.items() if vec}
 
-    def check_variety(self, v, delta=None):
-        """CheckReport over all identities of the variety."""
-        q = delta if delta is not None else v.delta
+    def check_variety(self, v):
+        """CheckReport over all identities of the variety, at its delta."""
         entries = []
         for idx, ident in enumerate(v.identities):
             label = "%s[%d]" % (v.name or "identity", idx + 1)
-            entries.append(self.eval_identity(ident, delta=q, label=label))
+            entries.append(self.eval_identity(ident, delta=v.delta, label=label))
         return CheckReport(self.name or "algebra", v.name or "variety", entries)
 
     # -- constructions ------------------------------------------------------
@@ -308,9 +307,9 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
                 _merge(out, (pair(i1, j1), pair(i2, j2)), comps)
     products = [(op_name, i + 1, j + 1, {k + 1: c for k, c in comps.items()})
                 for op_name, table in tables.items() for (i, j), comps in table.items()]
-    params = {k: v for k, v in a.params.items() if b.params.get(k) == v}
+    delta = a.delta if a.delta == b.delta else None
     name = "%s(x)%s" % (a.name, b.name) if a.name and b.name else ""
-    return Algebra(a.dim * b.dim, (DOT, BRACKET), products, params=params, name=name)
+    return Algebra(a.dim * b.dim, (DOT, BRACKET), products, delta=delta, name=name)
 
 
 def _add_scaled(acc, vec, c):
@@ -350,7 +349,7 @@ def split_polarization(a: Algebra) -> Algebra:
                 products.append(("dot", i + 1, j + 1, dot_comps))
             if br_comps and i != j:
                 products.append(("bracket", i + 1, j + 1, br_comps))
-    return Algebra(a.dim, (DOT, BRACKET), products, params=a.params,
+    return Algebra(a.dim, (DOT, BRACKET), products, delta=a.delta,
                    name=(a.name + "-polarized") if a.name else "")
 
 
@@ -366,7 +365,7 @@ def merge_polarization(a: Algebra) -> Algebra:
         _merge(merged, key, comps)
     products = [(PLAIN.name, i + 1, j + 1, {k + 1: c for k, c in comps.items()})
                 for (i, j), comps in merged.items()]
-    return Algebra(a.dim, (PLAIN,), products, params=a.params,
+    return Algebra(a.dim, (PLAIN,), products, delta=a.delta,
                    name=(a.name + "-depolarized") if a.name else "")
 
 
@@ -378,7 +377,7 @@ _DEFAULT_OP_SYMMETRY = ops_table((DOT, BRACKET))
 
 def parse_algebra_text(text: str, name: str = "") -> Algebra:
     dim = None
-    params = {}
+    delta = None
     op_by_name = {}
     product_lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -393,10 +392,12 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
         elif parts[0] == "param":
             # without '=', value is "" and Fraction rejects it
             pname, _, value = line[len("param"):].partition("=")
+            if pname.strip() != "delta":
+                raise AlgebraError("line %d: unknown parameter %r" % (lineno, pname.strip()))
             try:
-                params[pname.strip()] = _F(value)
+                delta = _F(value)
             except (ValueError, ZeroDivisionError):
-                raise AlgebraError("line %d: expected 'param <name> = <rational>'"
+                raise AlgebraError("line %d: expected 'param delta = <rational>'"
                                    % lineno) from None
         elif parts[0] == "op":
             if len(parts) != 3:
@@ -424,7 +425,7 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
             op_by_name[op_name] = OpSymbol(op_name, _DEFAULT_OP_SYMMETRY.get(op_name, "none"))
         products.append((op_name, i, j, comps))
     ops = tuple(op for _, op in sorted(op_by_name.items())) or (DOT, BRACKET)
-    return Algebra(dim, ops, products, params=params, name=name)
+    return Algebra(dim, ops, products, delta=delta, name=name)
 
 
 def _parse_lincomb(text: str):
@@ -452,8 +453,8 @@ def format_algebra(a: Algebra) -> str:
     if a.name:
         lines.append("# %s" % a.name)
     lines.append("dim %d" % a.dim)
-    for pname, value in sorted(a.params.items()):
-        lines.append("param %s = %s" % (pname, value))
+    if a.delta is not None:
+        lines.append("param delta = %s" % a.delta)
     for op in a.ops:
         lines.append("op %s %s" % (op.name, op.symmetry))
     for op in a.ops:

@@ -216,27 +216,26 @@ _F = Fraction
 _ALGEBRA_SOURCES = {
     # classification of simple transposed (-1)-Poisson algebras
     "A1": {
-        "dim": 3, "ops": "2", "params": {"delta": _F(-1)},
+        "dim": 3, "ops": "2", "delta": _F(-1),
         "products": [("dot", 1, 1, {2: 1}), ("bracket", 1, 2, {3: 1}),
                      ("bracket", 1, 3, {1: 1}), ("bracket", 2, 3, {2: -1})],
     },
     "A2": {
-        "dim": 3, "ops": "2", "params": {"delta": _F(-1)},
+        "dim": 3, "ops": "2", "delta": _F(-1),
         "products": [("dot", 1, 1, {3: 1}), ("dot", 1, 3, {2: -1}),
                      ("bracket", 1, 2, {3: 1}), ("bracket", 1, 3, {1: 1}),
                      ("bracket", 2, 3, {2: -1})],
     },
     # the 5-dimensional family that is 1/(3b)-Poisson and transposed b-Poisson
     "P-beta": {
-        "dim": 5, "ops": "2", "params": {},
-        "parametrized": "beta",
+        "dim": 5, "ops": "2", "parametrized": "beta",
         "products": [("dot", 1, 1, {3: 1}), ("dot", 1, 2, {5: 1}), ("dot", 1, 3, {4: 1}),
                      ("bracket", 1, 2, {3: ("beta", 3)}), ("bracket", 1, 5, {4: 1}),
                      ("bracket", 2, 3, {4: -2})],
     },
     # transposed 1/3-Poisson F-manifold that keeps {xy,zt} nonzero
     "transposed-third": {
-        "dim": 5, "ops": "2", "params": {"delta": _F(1, 3)},
+        "dim": 5, "ops": "2", "delta": _F(1, 3),
         "products": [("dot", 1, 1, {2: 1}), ("dot", 1, 2, {3: 1}), ("dot", 1, 3, {4: 1}),
                      ("dot", 1, 4, {5: 1}), ("dot", 2, 2, {4: 1}), ("dot", 2, 3, {5: 1}),
                      ("bracket", 1, 2, {3: _F(1, 3)}), ("bracket", 1, 3, {4: 1}),
@@ -244,74 +243,74 @@ _ALGEBRA_SOURCES = {
     },
     # transposed 1/2-Poisson F-manifold, same behaviour
     "transposed-half": {
-        "dim": 3, "ops": "2", "params": {"delta": _F(1, 2)},
+        "dim": 3, "ops": "2", "delta": _F(1, 2),
         "products": [("dot", 1, 1, {1: 1}), ("dot", 1, 2, {2: 1}), ("dot", 1, 3, {3: 1}),
                      ("bracket", 1, 3, {2: 1})],
     },
     # transposed 1-Poisson with {xy,zt}=0 that is not F-manifold
     "transposed-one": {
-        "dim": 5, "ops": "2", "params": {"delta": _F(1)},
+        "dim": 5, "ops": "2", "delta": _F(1),
         "products": [("dot", 1, 1, {3: 1}), ("dot", 1, 2, {5: 1}), ("dot", 1, 3, {4: 1}),
                      ("bracket", 2, 1, {1: -1}), ("bracket", 2, 3, {3: -1}),
                      ("bracket", 2, 4, {4: -1}), ("bracket", 2, 5, {5: -1})],
     },
-    "zero": {"dim": 2, "ops": "2", "params": {}, "products": []},
+    "zero": {"dim": 2, "ops": "2", "products": []},
     # independence witnesses for the 0-Poisson depolarization identities
     "zero-B1": {
-        "dim": 4, "ops": "1", "params": {},
+        "dim": 4, "ops": "1",
         "products": [("m", 1, 1, {4: 1}), ("m", 2, 3, {4: 1}), ("m", 3, 2, {4: 1}),
                      ("m", 1, 2, {2: 1}), ("m", 2, 1, {2: -1}),
                      ("m", 1, 3, {1: 1}), ("m", 3, 1, {1: -1})],
     },
     "zero-B2": {
-        "dim": 3, "ops": "1", "params": {},
+        "dim": 3, "ops": "1",
         "products": [("m", 1, 1, {3: 1}), ("m", 2, 2, {3: 1}), ("m", 3, 3, {3: 1}),
                      ("m", 1, 2, {3: 1}), ("m", 2, 1, {3: -1})],
     },
     # scalar-Poisson independence pair
     "sc-B1": {
-        "dim": 3, "ops": "1", "params": {},
+        "dim": 3, "ops": "1",
         "products": [("m", 1, 1, {1: 1}), ("m", 2, 2, {2: 1}),
                      ("m", 1, 3, {3: _F(1, 3)}), ("m", 3, 1, {3: _F(2, 3)})],
     },
     "sc-B2": {
-        "dim": 3, "ops": "1", "params": {},
+        "dim": 3, "ops": "1",
         "products": [("m", 1, 1, {1: 1}), ("m", 2, 2, {2: 1}),
                      ("m", 1, 3, {3: _F(2, 3)}), ("m", 3, 1, {3: _F(1, 3)})],
     },
     # transposed delta-Poisson independence pair
-    "trans-B1": {"dim": 3, "ops": "1", "params": {},
+    "trans-B1": {"dim": 3, "ops": "1",
                  "products": [("m", 1, 3, {1: 1})]},
-    "trans-B2": {"dim": 3, "ops": "1", "params": {},
+    "trans-B2": {"dim": 3, "ops": "1",
                  "products": [("m", 1, 1, {1: 1}), ("m", 1, 3, {2: 1})]},
     # transposed 1-Poisson independence triple (B1/B2 reuse the pair above)
     "td1-B3": {
-        "dim": 5, "ops": "1", "params": {},
+        "dim": 5, "ops": "1",
         "products": [("m", 3, 3, {4: 1}), ("m", 1, 2, {4: 1, 5: 1}),
                      ("m", 2, 1, {4: -1, 5: 1}), ("m", 1, 3, {1: -1}), ("m", 3, 1, {1: 1}),
                      ("m", 2, 3, {2: 1}), ("m", 3, 2, {2: -1}), ("m", 4, 3, {5: 2})],
     },
     # transposed scalar-Poisson independence pair
-    "tsc-B1": {"dim": 3, "ops": "1", "params": {},
+    "tsc-B1": {"dim": 3, "ops": "1",
                "products": [("m", 1, 1, {1: 1}), ("m", 1, 3, {2: 1})]},
     "tsc-B2": {
-        "dim": 2, "ops": "1", "params": {},
+        "dim": 2, "ops": "1",
         "products": [("m", 1, 1, {1: 1}), ("m", 1, 2, {2: -2}), ("m", 2, 1, {2: 1})],
     },
     # mixed-Poisson depolarization independence pair
-    "depol-B1": {"dim": 2, "ops": "1", "params": {},
+    "depol-B1": {"dim": 2, "ops": "1",
                  "products": [("m", 1, 1, {2: 1}), ("m", 1, 2, {2: 1})]},
-    "depol-B2": {"dim": 2, "ops": "1", "params": {},
+    "depol-B2": {"dim": 2, "ops": "1",
                  "products": [("m", 1, 1, {2: 1}), ("m", 2, 2, {1: 1})]},
     # delta-mixed-Poisson independence pair
     "dmix-B1": {
-        "dim": 5, "ops": "1", "params": {},
+        "dim": 5, "ops": "1",
         "products": [("m", 3, 3, {4: 1}), ("m", 1, 2, {4: 1, 5: 1}),
                      ("m", 2, 1, {4: -1, 5: 1}), ("m", 1, 3, {1: -1}), ("m", 3, 1, {1: 1}),
                      ("m", 2, 3, {2: 1}), ("m", 3, 2, {2: -1}),
                      ("m", 3, 4, {5: 1}), ("m", 4, 3, {5: 1})],
     },
-    "dmix-B2": {"dim": 2, "ops": "1", "params": {},
+    "dmix-B2": {"dim": 2, "ops": "1",
                 "products": [("m", 1, 1, {1: 1}), ("m", 1, 2, {2: 1})]},
 }
 
@@ -330,26 +329,18 @@ def algebra(name: str, **params):
     except KeyError:
         raise CatalogError("unknown algebra %r" % name) from None
     free = src.get("parametrized")
-    values = dict(src["params"])
     if free:
-        values[free] = _F(params.pop(free, 1))
-        if values[free] == 0:
+        value = _F(params.pop(free, 1))
+        if value == 0:
             raise CatalogError("parameter %s of %r must be nonzero" % (free, name))
     if params:
         raise CatalogError("unexpected parameters %s for %r" % (sorted(params), name))
     ops = TWO_OPS if src["ops"] == "2" else ONE_OP
-    products = []
-    for op, i, j, comps in src["products"]:
-        resolved = {}
-        for k, c in comps.items():
-            if isinstance(c, tuple):
-                pname, factor = c
-                resolved[k] = values[pname] * factor
-            else:
-                resolved[k] = _F(c)
-        products.append((op, i, j, resolved))
-    bindings = {k: v for k, v in values.items() if k == "delta"}
-    return Algebra(src["dim"], ops, products, params=bindings, name=name)
+    # a (name, factor) coefficient is the factor times the free parameter
+    products = [(op, i, j, {k: value * c[1] if isinstance(c, tuple) else _F(c)
+                            for k, c in comps.items()})
+                for op, i, j, comps in src["products"]]
+    return Algebra(src["dim"], ops, products, delta=src.get("delta"), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def cmd_check(args):
     a = _resolve_algebra(args.algebra)
     try:
         v = _resolve_variety(args.variety, args.delta)
-        report = a.check_variety(v, delta=args.delta)
+        report = a.check_variety(v)
     except _InputError:
         try:
             ident = catalog.identity(args.variety)

@@ -791,8 +791,19 @@ def is_consequence(v: Variety, target: Element, n: int, mode: str = "exact") -> 
     if target.is_zero():
         return True
     space = consequences(v, n, mode)
-    basis, delta = space.basis, space.variety.delta
-    ctx = get_context(v.ops, n)
+    try:
+        return _in_span(v, space, target)
+    except KeyError:
+        # only a monomial over an operation v lacks has no type; checking the
+        # operations first would cost every query a pass over its terms
+        missing = target.op_names() - {op.name for op in v.ops}
+        if not missing:
+            raise
+        raise EngineError("target uses undeclared operations %s" % sorted(missing)) from None
+
+
+def _in_span(v: Variety, space: ConsequenceSpace, target: Element) -> bool:
+    basis, delta, ctx = space.basis, space.variety.delta, space.context
     if delta != v.delta:
         # a sample point: the target's primitive row over Z[d] spans the same
         # line over Q(d), and has neither a pole nor a common root there
@@ -823,7 +834,7 @@ def equivalent(v1: Variety, v2: Variety, n: int, mode: str = "exact") -> bool:
     if v1.signature() != v2.signature():
         raise EngineError("operation signature mismatch: %s vs %s"
                           % (v1.signature(), v2.signature()))
-    if v1.delta != v2.delta:
+    if v1.uses_delta() and v2.uses_delta() and v1.delta != v2.delta:
         raise EngineError("parameter modes differ: %s vs %s" % (v1.delta, v2.delta))
     if mode == "sampled":
         s1, s2 = _sampled_spaces((v1, v2), n)

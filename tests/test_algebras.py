@@ -8,8 +8,8 @@ import pytest
 from variety_forge.algebras import (Algebra, AlgebraError, format_algebra,
                                     merge_polarization, parse_algebra_text,
                                     split_polarization, tensor)
-from variety_forge.catalog import (_IDENTITY_SOURCES, algebra, algebra_names, identity,
-                                   variety, variety_names)
+from variety_forge.catalog import (_IDENTITY_SOURCES, CatalogError, algebra,
+                                   algebra_names, identity, variety, variety_names)
 from variety_forge.exprs import parse_expr
 from variety_forge.terms import BRACKET, DOT, PLAIN
 
@@ -39,11 +39,22 @@ def test_load_algebra_errors():
         parse_algebra_text("dim 2\nm e1 e2 = e7\n")
     with pytest.raises(AlgebraError):
         parse_algebra_text("dot e1 e1 = e1\n")  # missing dim
+    # a param line binds d, as in a variety file; no other name is read
     for text in ("dim\n", "dim two\n", "dim 2\nop dot\n", "dim 2\nparam delta\n",
                  "dim 2\nparam delta = x\n", "dim 2\nop dot sym\n",
-                 "dim 2\ndot e1 e1 = 1/0*e2\n"):
+                 "dim 2\ndot e1 e1 = 1/0*e2\n", "dim 2\nparam beta = 2\n"):
         with pytest.raises(AlgebraError, match=r"^line \d+: "):
             parse_algebra_text(text)
+    assert parse_algebra_text("dim 2\nparam delta = -1/2\n").delta == F(-1, 2)
+    # catalog algebras: the name, and the free parameter of a family
+    with pytest.raises(CatalogError, match="unknown algebra"):
+        algebra("no-such-algebra")
+    with pytest.raises(CatalogError, match="must be nonzero"):
+        algebra("P-beta", beta=0)
+    for name, kwargs in (("P-beta", {"gamma": 1}), ("A1", {"beta": 1}),
+                         ("A1", {"delta": 2})):
+        with pytest.raises(CatalogError, match="unexpected parameters"):
+            algebra(name, **kwargs)
     conflicting = """
         dim 2
         dot e1 e2 = e1
@@ -74,7 +85,7 @@ def test_format_parse_roundtrip():
         a = algebra(name) if name != "P-beta" else algebra(name, beta=1)
         text = format_algebra(a)
         back = parse_algebra_text(text, name=name)
-        assert back.dim == a.dim
+        assert back.dim == a.dim and back.delta == a.delta
         for op in a.tables:
             assert back.tables[op] == a.tables[op]
 
@@ -117,7 +128,7 @@ def test_missing_operation_is_an_error_in_every_evaluation():
 def test_fractional_coefficients_need_no_delta_binding():
     # 1/2 is a constant: checking it must not ask for a value of d
     half = parse_expr("1/2*m(m(x1,x2),x3) - 1/2*m(x2,m(x3,x1))", (PLAIN,))
-    assert algebra("sc-B1").params == {}
+    assert algebra("sc-B1").delta is None
     entry = algebra("sc-B1").eval_identity(half)
     assert entry.value == {k: c / 2 for k, c in
                            algebra("sc-B1").eval_identity(identity("shift-assoc")).value.items()}
@@ -158,6 +169,10 @@ def test_tensor_examples():
     assert t2.check_variety(variety("transposed-delta-poisson", delta=F(-1))).all_satisfied
     with pytest.raises(AlgebraError):
         tensor(a1, algebra("sc-B1"))
+    # the product keeps d only where both factors bind the same value
+    assert t2.delta == F(-1) and tensor(a1, algebra("A2")).delta == F(-1)
+    assert tensor(a1, algebra("transposed-half")).delta is None
+    assert tensor(a1, algebra("zero")).delta is None
 
 
 def test_tensor_square_of_the_parameter_family():
@@ -327,7 +342,7 @@ def test_eval_identity_matches_the_per_tuple_loop(name):
         for delta in (None, F(-1), F(2)):
             # eval_element reads d only for coefficients that involve it, and
             # then at delta or else at the algebra's binding: one walk per value
-            q = (delta if delta is not None else a.params.get("delta")) if uses_d else None
+            q = (delta if delta is not None else a.delta) if uses_d else None
             if q not in walks:
                 walks[q] = _outcome(_per_tuple_check, a, e, delta)
             assert _outcome(_sparse_check, a, e, delta) == walks[q], (name, str(e), delta)

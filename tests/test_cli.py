@@ -56,6 +56,13 @@ def test_equiv_command(capsys, tmp_path):
                                                            delta=Fraction(2)))))
     code, out, _ = run(capsys, "equiv", str(f), str(g), "--arity", "3", "--no-timing")
     assert code == 0 and out == "equivalent=yes\n"
+    # com-lie has no d, so poisson's d = 1 does not clash with it ...
+    code, out, _ = run(capsys, "equiv", "poisson", "com-lie", "--arity", "3", "--no-timing")
+    assert code == 0 and out == "equivalent=no\n"
+    # ... while two bindings of the same d do
+    code, out, err = run(capsys, "equiv", "anti-poisson", "poisson", "--arity", "3",
+                         "--no-timing")
+    assert code == 2 and out == "" and "parameter modes differ" in err
 
 
 def test_check_command(capsys):
@@ -194,6 +201,24 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3 and "guard" in err
     code, _, err = run(capsys, "check", "A1", "no-such-variety", "--no-timing")
     assert code == 2
+    # (n-1)! Lie words past the free-basis guard: refused before any is built
+    code, out, err = run(capsys, "free-basis", "--arity", "10", "--no-timing")
+    assert code == 3 and out == "" and "free-basis guard" in err
+    # a target over operations the variety lacks is an input error, not a crash
+    for name, target in (("mixed-poisson", "h1"), ("one-op-free", "assoc")):
+        code, out, err = run(capsys, "consequence", name, "--target", target,
+                             "--no-timing")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: target uses undeclared operations"), err
+    # argparse refuses a d that is not a rational number
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "delta-poisson", "--arity", "3", "--delta", "x"])
+    assert exc.value.code == 2 and "not a rational number" in capsys.readouterr().err
+    # depolarize needs one operation or the dot/bracket pair
+    two_plain = tmp_path / "two-plain.alg"
+    two_plain.write_text("dim 2\nop p none\nop q none\np e1 e1 = e2\n")
+    code, out, err = run(capsys, "depolarize", str(two_plain), "--no-timing")
+    assert code == 2 and out == "" and "expected a {dot,bracket} algebra" in err
     # specializing onto a coefficient pole is an input error, not a crash
     code, _, err = run(capsys, "dim", "delta-mixed-poisson", "--arity", "3",
                        "--delta", "0", "--no-timing")
@@ -206,6 +231,7 @@ def test_exit_codes(capsys, tmp_path):
     # a malformed algebra file is an input error naming its line, not a crash
     for i, (text, lineno) in enumerate((("dim\n", 1), ("dim 2\nop dot\n", 2),
                                         ("dim 2\nparam delta\n", 2),
+                                        ("dim 2\nparam beta = 2\n", 2),
                                         ("dim 2\nop dot sym\n", 2),
                                         ("dim 2\ndot e1 e1 = 1/0*e2\n", 2))):
         path = tmp_path / ("bad%d.alg" % i)
@@ -216,6 +242,9 @@ def test_exit_codes(capsys, tmp_path):
     # so is a malformed variety file
     for i, (text, lineno) in enumerate((("op dot symmetric\nparam delta = x\n", 2),
                                         ("op dot symmetric\nparam delta = 1/0\n", 2),
+                                        ("op dot\n", 1),
+                                        ("op dot symmetric\nparam foo = 1\n", 2),
+                                        ("op dot symmetric\nparam foo\n", 2),
                                         ("op dot sym\n", 1))):
         path = tmp_path / ("bad%d.var" % i)
         path.write_text(text)

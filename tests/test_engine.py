@@ -123,6 +123,25 @@ def test_equivalence_requires_same_signature():
         equivalent(variety("delta-poisson", delta=1), one_op_variety(["sc1"]), 3)
 
 
+def test_equivalence_compares_d_only_where_both_sides_use_it():
+    # com-lie has no d, so its delta of None is no clash with poisson's 1
+    for mode in ("exact", "sampled"):
+        assert not equivalent(variety("poisson"), variety("com-lie"), 3, mode)
+    com_lie = variety("com-lie")
+    assert equivalent(com_lie.with_delta(F(2)), com_lie, 3)
+    with pytest.raises(EngineError, match="parameter modes differ"):
+        equivalent(variety("anti-poisson"), variety("poisson"), 3)
+
+
+def test_target_with_undeclared_operations_is_rejected():
+    # every membership path: d-free, generic d, the sample point, unit rows
+    for name, target in (("mixed-poisson", "h1"), ("one-op-free", "assoc"),
+                         ("delta-poisson", "h1"), ("anti-poisson", "h1")):
+        for mode in ("exact", "sampled"):
+            with pytest.raises(EngineError, match="target uses undeclared operations"):
+                is_consequence(variety(name), identity(target), 3, mode)
+
+
 def test_delta_specialization_modes():
     dp = variety("delta-poisson")
     assert dp.delta is None and dp.domain is PolyDomain
@@ -301,9 +320,14 @@ def test_variety_file_errors():
         parse_variety_text("op dot symmetric\nfrobnicate\n")
     for text in ("op dot symmetric\nparam delta = x\n",
                  "op dot symmetric\nparam delta = 1/0\n",
-                 "op dot sym\n"):
+                 "op dot sym\n", "op dot\n",
+                 "op dot symmetric\nparam foo = 1\n",
+                 "op dot symmetric\nparam foo\n"):
         with pytest.raises(EngineError, match=r"^line \d+: "):
             parse_variety_text(text)
+    # the parser rejects an unknown operation name; the constructor, too
+    with pytest.raises(EngineError, match=r"undeclared operations \['bracket'\]"):
+        Variety((DOT,), (identity("jacobi"),))
 
 
 def test_cache_key_is_the_set_of_identities():

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from variety_forge.catalog import identity, presentation, variety, variety_names
-from variety_forge.engine import (Variety, consequences, dim_multilinear,
-                                  element_to_row, equivalent, get_context)
+from variety_forge.engine import (ArityOverflowError, Variety, consequences,
+                                  dim_multilinear, element_to_row, equivalent,
+                                  get_context)
 from variety_forge.exprs import format_element, parse_expr
 from variety_forge.linalg import RowBasis
 from variety_forge.operads import (OperadError, Series, _check_quadratic,
-                                   _dual_signature, _leaf_sign, _swap_ops,
+                                   _dual_signature, _leaf_sign,
+                                   _standard_bracketing, _swap_ops,
                                    compose, free_delta_p_basis,
                                    hilbert_series, koszul_dual,
                                    koszulness_witness)
@@ -295,6 +297,27 @@ def test_free_basis_counts():
         assert report.total == sum(counts)
     assert free_delta_p_basis(5).total == 31
     assert free_delta_p_basis(6).total == 145
+    # (n-1)! Lie words: the guard refuses before any is built
+    with pytest.raises(ArityOverflowError, match="free-basis guard 9"):
+        free_delta_p_basis(10)
+
+
+def _longest_lyndon_suffix_bracketing(word):
+    """Reference: split at the longest proper suffix that is smaller than
+    each of its own proper suffixes."""
+    if len(word) == 1:
+        return word[0]
+    i = next(i for i in range(1, len(word))
+             if all(word[i:] < word[j:] for j in range(i + 1, len(word))))
+    return ("bracket", _longest_lyndon_suffix_bracketing(word[:i]),
+            _longest_lyndon_suffix_bracketing(word[i:]))
+
+
+def test_standard_bracketing_splits_at_the_longest_lyndon_suffix():
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(2, n + 1)):
+            word = (1,) + perm
+            assert _standard_bracketing(word) == _longest_lyndon_suffix_bracketing(word)
 
 
 def test_free_basis_is_complement_of_the_ideal():
