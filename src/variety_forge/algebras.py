@@ -21,8 +21,9 @@ import itertools
 import os
 from fractions import Fraction
 
+from .exprs import read_directives
 from .linalg import RowBasis, ZZDomain, rank, to_row
-from .terms import BRACKET, DOT, PLAIN, Element, OpSymbol, TermError, ops_table
+from .terms import BRACKET, DOT, PLAIN, Element, OpSymbol, ops_table
 
 _F = Fraction
 
@@ -376,46 +377,21 @@ _DEFAULT_OP_SYMMETRY = ops_table((DOT, BRACKET))
 
 
 def parse_algebra_text(text: str, name: str = "") -> Algebra:
+    """``exprs.read_directives`` lines, ``dim <n>`` and ``<op> e<i> e<j> = <comb>`` lines."""
+    ops, delta, rest = read_directives(text, AlgebraError)
+    op_by_name = {op.name: op for op in ops}
     dim = None
-    delta = None
-    op_by_name = {}
-    product_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    products = []
+    for lineno, line in rest:
         parts = line.split()
         if parts[0] == "dim":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise AlgebraError("line %d: expected 'dim <n>'" % lineno)
             dim = int(parts[1])
-        elif parts[0] == "param":
-            # without '=', value is "" and Fraction rejects it
-            pname, _, value = line[len("param"):].partition("=")
-            if pname.strip() != "delta":
-                raise AlgebraError("line %d: unknown parameter %r" % (lineno, pname.strip()))
-            try:
-                delta = _F(value)
-            except (ValueError, ZeroDivisionError):
-                raise AlgebraError("line %d: expected 'param delta = <rational>'"
-                                   % lineno) from None
-        elif parts[0] == "op":
-            if len(parts) != 3:
-                raise AlgebraError("line %d: expected 'op <name> <symmetry>'" % lineno)
-            try:
-                op_by_name[parts[1]] = OpSymbol(parts[1], parts[2])
-            except TermError as exc:
-                raise AlgebraError("line %d: %s" % (lineno, exc)) from None
-        else:
-            product_lines.append((lineno, line))
-    if dim is None:
-        raise AlgebraError("algebra file lacks a 'dim' line")
-    products = []
-    for lineno, line in product_lines:
+            continue
         try:
             lhs, rhs = line.split("=", 1)
-            tokens = lhs.split()
-            op_name, ei, ej = tokens
+            op_name, ei, ej = lhs.split()
             i = int(ei.lstrip("e"))
             j = int(ej.lstrip("e"))
             comps = _parse_lincomb(rhs)
@@ -424,6 +400,8 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
         if op_name not in op_by_name:
             op_by_name[op_name] = OpSymbol(op_name, _DEFAULT_OP_SYMMETRY.get(op_name, "none"))
         products.append((op_name, i, j, comps))
+    if dim is None:
+        raise AlgebraError("algebra file lacks a 'dim' line")
     ops = tuple(op for _, op in sorted(op_by_name.items())) or (DOT, BRACKET)
     return Algebra(dim, ops, products, delta=delta, name=name)
 

@@ -101,7 +101,7 @@ def cmd_consequence(args):
         target = catalog.identity(args.target)
     except catalog.CatalogError:
         target = parse_expr(args.target, v.ops)
-    n = args.arity if args.arity else target.arity
+    n = target.arity if args.arity is None else args.arity
     answer = is_consequence(v, target, n, mode=args.mode)
     space = consequences(v, n, mode=args.mode)
     print("consequence=%s" % ("yes" if answer else "no"))

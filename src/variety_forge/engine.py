@@ -44,12 +44,11 @@ import os
 import weakref
 from fractions import Fraction
 
-from .exprs import format_element, parse_expr
+from .exprs import format_element, parse_expr, read_directives
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element,
-                    Monomial, OpSymbol, Permutation, TermError, depolarize_expr,
-                    ops_table)
+                    Monomial, Permutation, TermError, depolarize_expr, ops_table)
 
 # arity 7 is not promised in either mode.  Its context is a counted type
 # list (under 0.01 s), and cold AP(7) and MP(7) builds take 3-4.6 s and
@@ -860,45 +859,16 @@ def depolarize_variety(v: Variety) -> Variety:
 # variety files
 
 def parse_variety_text(text: str, name: str = "") -> Variety:
-    """Line-oriented format: op/param/identity lines, # comments."""
-    ops = []
-    delta = None
-    identity_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("op "):
-            parts = line.split()
-            if len(parts) != 3:
-                raise EngineError("line %d: expected 'op <name> <symmetry>'" % lineno)
-            try:
-                ops.append(OpSymbol(parts[1], parts[2]))
-            except TermError as exc:
-                raise EngineError("line %d: %s" % (lineno, exc)) from None
-        elif line.startswith("param "):
-            body = line[len("param "):].strip()
-            if "=" in body:
-                pname, value = (s.strip() for s in body.split("=", 1))
-                if pname != "delta":
-                    raise EngineError("line %d: unknown parameter %r" % (lineno, pname))
-                try:
-                    delta = Fraction(value)
-                except (ValueError, ZeroDivisionError):
-                    raise EngineError("line %d: expected 'param delta = <rational>'"
-                                      % lineno) from None
-            elif body != "delta":
-                raise EngineError("line %d: unknown parameter %r" % (lineno, body))
-        elif line.startswith("identity:"):
-            identity_lines.append((lineno, line[len("identity:"):].strip()))
-        else:
-            raise EngineError("line %d: unrecognized directive %r" % (lineno, line))
+    """``exprs.read_directives`` lines, bare ``param delta`` too, and ``identity:`` lines."""
+    ops, delta, rest = read_directives(text, EngineError, generic_delta=True)
     if not ops:
         raise EngineError("variety file declares no operations")
     identities = []
-    for lineno, src in identity_lines:
+    for lineno, line in rest:
+        if not line.startswith("identity:"):
+            raise EngineError("line %d: unrecognized directive %r" % (lineno, line))
         try:
-            e = parse_expr(src, ops)
+            e = parse_expr(line[len("identity:"):], ops)
         except (TermError, ValueError) as exc:
             raise EngineError("line %d: %s" % (lineno, exc)) from exc
         if not e.is_zero():

@@ -1,4 +1,5 @@
-"""Parsing and canonical printing of identity expressions.
+"""Parsing and canonical printing of identity expressions; the directives
+that variety and algebra files share (``read_directives``).
 
 One grammar serves coefficients and identities (whitespace insignificant)::
 
@@ -22,9 +23,11 @@ order with explicit signs; parse o print is the identity.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalar import (DELTA, PONE, RF_ONE, RationalFunction, join_signed, pconst,
                      pstr, signed_term)
-from .terms import Element, TermError, normalize_tree, ops_table
+from .terms import Element, OpSymbol, TermError, normalize_tree, ops_table
 
 
 class ExprSyntaxError(ValueError):
@@ -203,6 +206,52 @@ def parse_expr(text: str, ops) -> Element:
     if len(nonzero) > 1:
         raise TermError("terms of different arities remain after cancellation")
     return nonzero[0] if nonzero else Element(0)
+
+
+# ---------------------------------------------------------------------------
+# file directives
+
+def read_directives(text: str, error, generic_delta=False):
+    """``(ops, delta, rest)`` of a variety or algebra file, ``#`` comments out.
+
+    ``op <name> <symmetry>`` declares an operation once, ``param delta =
+    <rational>`` binds d, and a bare ``param delta`` leaves it generic where
+    ``generic_delta``.  ``rest`` holds the ``(lineno, line)`` of every other
+    line.  A malformed directive raises ``error("line N: ...")``.
+    """
+    ops = {}
+    delta = None
+    rest = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        words = line.split()
+        if not words:
+            continue
+        if words[0] == "op":
+            if len(words) != 3:
+                raise error("line %d: expected 'op <name> <symmetry>'" % lineno)
+            if words[1] in ops:
+                raise error("line %d: operation %r declared twice" % (lineno, words[1]))
+            try:
+                ops[words[1]] = OpSymbol(words[1], words[2])
+            except TermError as exc:
+                raise error("line %d: %s" % (lineno, exc)) from None
+        elif words[0] == "param":
+            if generic_delta and words[1:] == ["delta"]:
+                continue
+            pname, _, value = line[len("param"):].partition("=")
+            pname = pname.strip()
+            if pname not in ("", "delta"):
+                raise error("line %d: unknown parameter %r" % (lineno, pname))
+            try:
+                # a nameless line (``param``, ``param = 2``) is malformed
+                delta = Fraction(value if pname else "")
+            except (ValueError, ZeroDivisionError):
+                raise error("line %d: expected 'param delta = <rational>'"
+                            % lineno) from None
+        else:
+            rest.append((lineno, line))
+    return list(ops.values()), delta, rest
 
 
 # ---------------------------------------------------------------------------

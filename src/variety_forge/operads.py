@@ -21,8 +21,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .engine import (ArityOverflowError, Variety, apply_index_map, at_sample_point,
-                     consequences, dim_multilinear, get_context, row_to_element)
+from .engine import (MAX_ARITY, ArityOverflowError, Variety, apply_index_map,
+                     at_sample_point, consequences, dim_multilinear, get_context,
+                     row_to_element)
 from .linalg import nullspace
 from .scalar import join_signed, signed_term
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, NONE, SYMMETRIC, Monomial,
@@ -238,6 +239,9 @@ def koszulness_witness(v: Variety, order: int, mode: str = "exact") -> KoszulVer
     """Compare H(H!(t)) with t using engine-computed dimensions on both sides."""
     if order < 1:
         raise OperadError("order must be positive")
+    if order > MAX_ARITY:
+        raise ArityOverflowError("order %d exceeds the arity guard %d: the test needs "
+                                 "dim P(n) for every n up to the order" % (order, MAX_ARITY))
     dual = koszul_dual(v)
     dims = [dim_multilinear(v, n, mode) for n in range(1, order + 1)]
     dual_dims = [dim_multilinear(dual, n, mode) for n in range(1, order + 1)]

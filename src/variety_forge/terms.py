@@ -21,7 +21,6 @@ them through ``_collect``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import RationalFunction
@@ -37,14 +36,35 @@ class TermError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class OpSymbol:
-    name: str
-    symmetry: str
+    """An operation name and its symmetry; immutable, equal by value."""
 
-    def __post_init__(self):
-        if self.symmetry not in _SYMMETRIES:
-            raise TermError("unknown symmetry %r" % self.symmetry)
+    __slots__ = ("name", "symmetry")
+
+    def __init__(self, name, symmetry):
+        if symmetry not in _SYMMETRIES:
+            raise TermError("unknown symmetry %r" % symmetry)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "symmetry", symmetry)
+
+    def __setattr__(self, *args):
+        raise AttributeError("OpSymbol is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return OpSymbol, (self.name, self.symmetry)
+
+    def __eq__(self, other):
+        if other.__class__ is not OpSymbol:
+            return NotImplemented
+        return self.name == other.name and self.symmetry == other.symmetry
+
+    def __hash__(self):
+        return hash((self.name, self.symmetry))
+
+    def __repr__(self):
+        return "OpSymbol(name=%r, symmetry=%r)" % (self.name, self.symmetry)
 
     def __str__(self):
         return "%s(%s)" % (self.name, self.symmetry)
@@ -128,8 +148,8 @@ def format_tree(tree) -> str:
 def ops_table(ops) -> dict:
     table = {}
     for op in ops:
-        if op.name in table and table[op.name] != op.symmetry:
-            raise TermError("operation %r declared twice with different symmetry" % op.name)
+        if op.name in table:
+            raise TermError("operation %r declared twice" % op.name)
         table[op.name] = op.symmetry
     return table
 

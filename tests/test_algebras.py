@@ -11,7 +11,7 @@ from variety_forge.algebras import (Algebra, AlgebraError, format_algebra,
 from variety_forge.catalog import (_IDENTITY_SOURCES, CatalogError, algebra,
                                    algebra_names, identity, variety, variety_names)
 from variety_forge.exprs import parse_expr
-from variety_forge.terms import BRACKET, DOT, PLAIN
+from variety_forge.terms import BRACKET, DOT, PLAIN, TermError
 
 from conftest import dense_rref, random_element, seeded
 
@@ -42,7 +42,8 @@ def test_load_algebra_errors():
     # a param line binds d, as in a variety file; no other name is read
     for text in ("dim\n", "dim two\n", "dim 2\nop dot\n", "dim 2\nparam delta\n",
                  "dim 2\nparam delta = x\n", "dim 2\nop dot sym\n",
-                 "dim 2\ndot e1 e1 = 1/0*e2\n", "dim 2\nparam beta = 2\n"):
+                 "dim 2\ndot e1 e1 = 1/0*e2\n", "dim 2\nparam beta = 2\n",
+                 "dim 2\nop dot symmetric\nop dot antisymmetric\n"):
         with pytest.raises(AlgebraError, match=r"^line \d+: "):
             parse_algebra_text(text)
     assert parse_algebra_text("dim 2\nparam delta = -1/2\n").delta == F(-1, 2)
@@ -62,6 +63,8 @@ def test_load_algebra_errors():
     """
     with pytest.raises(AlgebraError):
         parse_algebra_text(conflicting)
+    with pytest.raises(TermError, match="declared twice"):
+        Algebra(1, (DOT, DOT), [])
 
 
 def test_lincomb_parsing_variants():

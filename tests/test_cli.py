@@ -228,12 +228,21 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2 and "order must be positive" in err
     code, out, err = run(capsys, "koszul", "mixed-poisson", "--order", "0", "--no-timing")
     assert code == 2 and "order must be positive" in err and out == ""
+    # an order past the arity guard is refused before any dimension is built
+    code, out, err = run(capsys, "koszul", "poisson", "--order", "7", "--no-timing")
+    assert code == 3 and out == "" and "arity guard" in err
+    # an explicit arity 0 is an input error, as for dim and equiv
+    code, out, err = run(capsys, "consequence", "poisson", "--target", "assoc",
+                         "--arity", "0", "--no-timing")
+    assert code == 2 and out == ""
     # a malformed algebra file is an input error naming its line, not a crash
     for i, (text, lineno) in enumerate((("dim\n", 1), ("dim 2\nop dot\n", 2),
                                         ("dim 2\nparam delta\n", 2),
                                         ("dim 2\nparam beta = 2\n", 2),
                                         ("dim 2\nop dot sym\n", 2),
-                                        ("dim 2\ndot e1 e1 = 1/0*e2\n", 2))):
+                                        ("dim 2\ndot e1 e1 = 1/0*e2\n", 2),
+                                        ("dim 2\nop dot symmetric\nop dot antisymmetric\n"
+                                         "dot e1 e2 = e1\n", 3))):
         path = tmp_path / ("bad%d.alg" % i)
         path.write_text(text)
         code, out, err = run(capsys, "check", str(path), "assoc", "--no-timing")
@@ -245,7 +254,10 @@ def test_exit_codes(capsys, tmp_path):
                                         ("op dot\n", 1),
                                         ("op dot symmetric\nparam foo = 1\n", 2),
                                         ("op dot symmetric\nparam foo\n", 2),
-                                        ("op dot sym\n", 1))):
+                                        ("op dot sym\n", 1),
+                                        # each association type once, not twice
+                                        ("op dot symmetric\nop dot symmetric\nidentity: "
+                                         "dot(dot(x1,x2),x3) - dot(x1,dot(x2,x3))\n", 2))):
         path = tmp_path / ("bad%d.var" % i)
         path.write_text(text)
         code, out, err = run(capsys, "dim", str(path), "--arity", "3", "--no-timing")

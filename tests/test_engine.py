@@ -23,7 +23,7 @@ from variety_forge.exprs import parse_expr
 from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
 from variety_forge.scalar import DELTA
 from variety_forge.terms import (BRACKET, DOT, NONE, Element, OpSymbol,
-                                 Permutation, act, act_monomial,
+                                 Permutation, TermError, act, act_monomial,
                                  normalize_tree, substitute_tree)
 
 from conftest import OP_SETS, TWO_OPS, reference_monomials, with_identities
@@ -322,9 +322,17 @@ def test_variety_file_errors():
                  "op dot symmetric\nparam delta = 1/0\n",
                  "op dot sym\n", "op dot\n",
                  "op dot symmetric\nparam foo = 1\n",
-                 "op dot symmetric\nparam foo\n"):
+                 "op dot symmetric\nparam foo\n",
+                 "op dot symmetric\nop dot symmetric\n"):
         with pytest.raises(EngineError, match=r"^line \d+: "):
             parse_variety_text(text)
+    # an operation is declared once: a conflicting op line is refused on its
+    # own line, not on the first identity that uses it, and so is a repeat
+    # in the constructor
+    with pytest.raises(EngineError, match=r"^line 2: operation 'dot' declared twice"):
+        parse_variety_text("op dot symmetric\nop dot antisymmetric\nidentity: dot(x1,x2)\n")
+    with pytest.raises(TermError, match="declared twice"):
+        Variety((DOT, DOT), ())
     # the parser rejects an unknown operation name; the constructor, too
     with pytest.raises(EngineError, match=r"undeclared operations \['bracket'\]"):
         Variety((DOT,), (identity("jacobi"),))

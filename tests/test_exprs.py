@@ -1,12 +1,18 @@
-"""Identity expression grammar: parsing, errors, canonical printing."""
+"""Identity expression grammar: parsing, errors, canonical printing; the
+directives that variety and algebra files share."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from variety_forge.algebras import AlgebraError, format_algebra, parse_algebra_text
+from variety_forge.catalog import algebra, algebra_names, variety, variety_names
+from variety_forge.engine import EngineError, format_variety, parse_variety_text
 from variety_forge.exprs import (ExprSyntaxError, format_element, parse_expr,
                                  parse_scalar)
 from variety_forge.scalar import RF_ONE
-from variety_forge.terms import TermError, multilinearize
+from variety_forge.terms import BRACKET, DOT, TermError, multilinearize
 
 from conftest import ONE_OP, TWO_OPS, random_element, seeded
 
@@ -87,3 +93,61 @@ def test_print_parse_fixpoint(seed, n, use_delta):
     back = parse_expr(text, ops)
     assert back == e
     assert format_element(back) == text
+
+
+# ---------------------------------------------------------------------------
+# the directives variety and algebra files share
+
+def _read_both(text):
+    """Parse text as a variety file and, after a 'dim 1' line, as an algebra
+    file: (ops, delta) of each, or the error message of each."""
+    results = []
+    for parse, error, suffix in ((parse_variety_text, EngineError, ""),
+                                 (parse_algebra_text, AlgebraError, "dim 1\n")):
+        try:
+            parsed = parse(text + suffix)
+        except error as exc:
+            assert type(exc) is error, (text, exc)
+            results.append(str(exc))
+        else:
+            results.append((set(parsed.ops), parsed.delta))
+    return results
+
+
+@pytest.mark.parametrize("text, ops, delta", [
+    ("# a comment\n\n   \nop dot symmetric   # trailing comment\n", {DOT}, None),
+    ("op\tdot\tsymmetric\n", {DOT}, None),
+    ("op dot symmetric\nop bracket antisymmetric\nparam delta=1/2\n", {DOT, BRACKET},
+     Fraction(1, 2)),
+    ("op dot symmetric\nparam delta = -1  # anti-Poisson\n", {DOT}, Fraction(-1)),
+])
+def test_both_file_formats_read_directives_alike(text, ops, delta):
+    assert _read_both(text) == [(ops, delta)] * 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("op dot symmetric\nop\n", "line 2: expected 'op <name> <symmetry>'"),
+    ("op dot symmetric\nparam\n", "line 2: expected 'param delta = <rational>'"),
+    ("op dot symmetric\nparam delta = x\n", "line 2: expected 'param delta = <rational>'"),
+    ("op dot symmetric\nparam beta = 2\n", "line 2: unknown parameter 'beta'"),
+    ("# header\nop dot sym\n", "line 2: unknown symmetry 'sym'"),
+    ("op dot symmetric\nop dot symmetric\n", "line 2: operation 'dot' declared twice"),
+    ("op dot symmetric\n\nop dot antisymmetric\n", "line 3: operation 'dot' declared twice"),
+])
+def test_both_file_formats_refuse_directives_alike(text, message):
+    assert _read_both(text) == [message] * 2
+
+
+def test_every_catalog_file_round_trips_through_its_reader():
+    for name in variety_names():
+        v = variety(name)
+        text = format_variety(v)
+        back = parse_variety_text(text, name=name)
+        assert back.ops == v.ops and back.cache_key == v.cache_key, name
+        assert format_variety(back) == text, name
+    for name in algebra_names():
+        a = algebra(name)
+        text = format_algebra(a)
+        back = parse_algebra_text(text, name=name)
+        assert set(back.ops) == set(a.ops) and back.delta == a.delta, name
+        assert back.tables == a.tables, name

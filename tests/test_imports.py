@@ -37,3 +37,20 @@ def test_imports_are_at_module_level():
             if (path.stem, function) not in _ALLOWED:
                 offenders.append("%s.py:%d in %s" % (path.stem, lineno, function))
     assert not offenders, offenders
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls inspect, ast, dis and tokenize into every process
+    package = pathlib.Path(variety_forge.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append("%s.py:%d" % (path.stem, node.lineno))
+    assert not offenders, offenders

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from variety_forge import engine
 from variety_forge.catalog import identity, presentation, variety, variety_names
 from variety_forge.engine import (ArityOverflowError, Variety, consequences,
                                   dim_multilinear, element_to_row, equivalent,
@@ -300,6 +301,14 @@ def test_free_basis_counts():
     # (n-1)! Lie words: the guard refuses before any is built
     with pytest.raises(ArityOverflowError, match="free-basis guard 9"):
         free_delta_p_basis(10)
+
+
+def test_koszul_order_past_the_arity_guard_builds_nothing():
+    # every dimension through the order is needed, so the guard refuses first
+    engine.clear_cache()
+    with pytest.raises(ArityOverflowError, match="arity guard 6"):
+        koszulness_witness(variety("poisson"), engine.MAX_ARITY + 1)
+    assert not engine._SPACE_CACHE
 
 
 def _longest_lyndon_suffix_bracketing(word):

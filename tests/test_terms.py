@@ -1,6 +1,8 @@
 """Canonical monomials, enumeration, group action, substitution, polarization."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ from variety_forge.scalar import RF_ONE
 from variety_forge.terms import (BRACKET, DOT, OpSymbol,
                                  Permutation, TermError, _tree_key, act,
                                  depolarize_expr, multilinearize, multiply_by_var, normalize,
-                                 polarize_expr, substitute)
+                                 ops_table, polarize_expr, substitute)
 
 from conftest import ONE_OP, OP_SETS, TWO_OPS, random_element, reference_monomials, seeded
 
@@ -43,6 +45,26 @@ def test_normalize_rejects_non_multilinear():
     # fragments allow gaps but not repeats
     sign, m = normalize(("dot", 1, 3), TWO_OPS, fragment=True)
     assert str(m) == "dot(x1,x3)"
+
+
+def test_op_symbol_is_an_immutable_value():
+    dot = OpSymbol("dot", "symmetric")
+    assert dot == DOT and hash(dot) == hash(DOT) and len({dot, DOT}) == 1
+    assert dot != OpSymbol("dot", "antisymmetric") and dot != ("dot", "symmetric")
+    assert repr(dot) == "OpSymbol(name='dot', symmetry='symmetric')"
+    assert str(BRACKET) == "bracket(antisymmetric)"
+    assert copy.deepcopy(dot) == dot and pickle.loads(pickle.dumps(dot)) == dot
+    with pytest.raises(AttributeError):
+        dot.symmetry = "none"
+    with pytest.raises(TermError, match="unknown symmetry 'sym'"):
+        OpSymbol("dot", "sym")
+
+
+def test_ops_table_rejects_a_repeated_name():
+    assert ops_table(TWO_OPS) == {"dot": "symmetric", "bracket": "antisymmetric"}
+    for ops in ((DOT, DOT), (DOT, OpSymbol("dot", "none"))):
+        with pytest.raises(TermError, match="operation 'dot' declared twice"):
+            ops_table(ops)
 
 
 def test_normalize_idempotent_on_canonical():
