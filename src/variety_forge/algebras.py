@@ -377,7 +377,11 @@ _DEFAULT_OP_SYMMETRY = ops_table((DOT, BRACKET))
 
 
 def parse_algebra_text(text: str, name: str = "") -> Algebra:
-    """``exprs.read_directives`` lines, ``dim <n>`` and ``<op> e<i> e<j> = <comb>`` lines."""
+    """``exprs.read_directives`` lines, one ``dim <n>`` and ``<op> e<i> e<j> = <comb>`` lines.
+
+    The operations keep the file's order: the declared ones, then any used
+    only in a product line, in the order first used.
+    """
     ops, delta, rest = read_directives(text, AlgebraError)
     op_by_name = {op.name: op for op in ops}
     dim = None
@@ -387,6 +391,8 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
         if parts[0] == "dim":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise AlgebraError("line %d: expected 'dim <n>'" % lineno)
+            if dim is not None:
+                raise AlgebraError("line %d: dimension declared twice" % lineno)
             dim = int(parts[1])
             continue
         try:
@@ -402,7 +408,7 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
         products.append((op_name, i, j, comps))
     if dim is None:
         raise AlgebraError("algebra file lacks a 'dim' line")
-    ops = tuple(op for _, op in sorted(op_by_name.items())) or (DOT, BRACKET)
+    ops = tuple(op_by_name.values()) or (DOT, BRACKET)
     return Algebra(dim, ops, products, delta=delta, name=name)
 
 

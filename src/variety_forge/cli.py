@@ -1,9 +1,9 @@
 """Command-line surface for the workbench.
 
-Subcommands: dim, consequence, equiv, check, tensor, depolarize, dual,
-koszul, free-basis, export-catalog.  Inputs are file paths or built-in
-catalog names.  Exit codes: 0 success, 1 mathematical negative under
---expect, 2 input error, 3 resource/overflow abort.
+The subcommands are the rows of ``_COMMANDS``; a run builds the parser of
+its own subcommand only.  Inputs are file paths or built-in catalog names.
+Exit codes: 0 success, 1 mathematical negative under --expect, 2 input
+error, 3 resource/overflow abort.
 """
 
 from __future__ import annotations
@@ -208,96 +208,80 @@ def cmd_export_catalog(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# name, help, own arguments, common() flags: the only list of the commands,
+# in the order that help lists them; each runs cmd_<name>
+_COMMANDS = (
+    ("dim", "multilinear dimension of a variety's operad component",
+     (_arg("variety"), _arg("--arity", type=int, required=True)), {}),
+    ("consequence", "is the target identity a consequence?",
+     (_arg("variety"),
+      _arg("--target", required=True, help="identity expression or catalog identity name"),
+      _arg("--arity", type=int, default=None)), dict(expect=True)),
+    ("equiv", "do two varieties have equal consequence spans?",
+     (_arg("variety1"), _arg("variety2"), _arg("--arity", type=int, required=True)),
+     dict(expect=True)),
+    ("check", "check an algebra against a variety or identity",
+     (_arg("algebra"), _arg("variety")), dict(mode=False, expect=True)),
+    ("tensor", "Poisson-type tensor product of two algebras",
+     (_arg("algebra1"), _arg("algebra2"), _arg("-o", "--output", default=None)),
+     dict(mode=False, delta=False)),
+    ("depolarize", "convert between one-operation and (dot, bracket) tables",
+     (_arg("algebra"), _arg("-o", "--output", default=None)), dict(mode=False, delta=False)),
+    ("dual", "Koszul dual of a binary quadratic presentation",
+     (_arg("variety"),), dict(mode=False)),
+    ("koszul", "Hilbert-series Koszulness test",
+     (_arg("variety"), _arg("--order", type=int, default=5)), {}),
+    ("free-basis", "free-algebra basis families (multilinear component)",
+     (_arg("--arity", type=int, required=True), _arg("-v", "--verbose", action="store_true")),
+     dict(mode=False, delta=False)),
+    ("export-catalog", "write every catalog entry as a file",
+     (_arg("-o", "--output", default=None),), dict(mode=False, delta=False)),
+)
+
+
+def _common(p, mode=True, expect=False, delta=True):
+    p.add_argument("--no-timing", action="store_true",
+                   help="suppress the trailing timing line")
+    if delta:
+        p.add_argument("--delta", type=_fraction, default=None,
+                       help="specialize the parameter d to a rational")
+    if mode:
+        p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    if expect:
+        p.add_argument("--expect", choices=("yes", "no"), default=None,
+                       help="exit 1 unless the answer matches")
+
+
+def build_parser(command=None):
+    """The parser with the sub-parser of ``command`` only, or with every
+    sub-parser when ``command`` names none (top-level help, a misspelt name)."""
     parser = argparse.ArgumentParser(
         prog="variety-forge",
         description="Workbench for Poisson-type algebra varieties: consequence "
                     "spaces, operad dimensions, structure-constant checks, "
                     "Koszul duals.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, mode=True, expect=False, delta=True):
-        p.add_argument("--no-timing", action="store_true",
-                       help="suppress the trailing timing line")
-        if delta:
-            p.add_argument("--delta", type=_fraction, default=None,
-                           help="specialize the parameter d to a rational")
-        if mode:
-            p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-        if expect:
-            p.add_argument("--expect", choices=("yes", "no"), default=None,
-                           help="exit 1 unless the answer matches")
-
-    p = sub.add_parser("dim", help="multilinear dimension of a variety's operad component")
-    p.add_argument("variety")
-    p.add_argument("--arity", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("consequence", help="is the target identity a consequence?")
-    p.add_argument("variety")
-    p.add_argument("--target", required=True,
-                   help="identity expression or catalog identity name")
-    p.add_argument("--arity", type=int, default=None)
-    common(p, expect=True)
-    p.set_defaults(func=cmd_consequence)
-
-    p = sub.add_parser("equiv", help="do two varieties have equal consequence spans?")
-    p.add_argument("variety1")
-    p.add_argument("variety2")
-    p.add_argument("--arity", type=int, required=True)
-    common(p, expect=True)
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("check", help="check an algebra against a variety or identity")
-    p.add_argument("algebra")
-    p.add_argument("variety")
-    common(p, mode=False, expect=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("tensor", help="Poisson-type tensor product of two algebras")
-    p.add_argument("algebra1")
-    p.add_argument("algebra2")
-    p.add_argument("-o", "--output", default=None)
-    common(p, mode=False, delta=False)
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("depolarize",
-                       help="convert between one-operation and (dot, bracket) tables")
-    p.add_argument("algebra")
-    p.add_argument("-o", "--output", default=None)
-    common(p, mode=False, delta=False)
-    p.set_defaults(func=cmd_depolarize)
-
-    p = sub.add_parser("dual", help="Koszul dual of a binary quadratic presentation")
-    p.add_argument("variety")
-    common(p, mode=False)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("koszul", help="Hilbert-series Koszulness test")
-    p.add_argument("variety")
-    p.add_argument("--order", type=int, default=5)
-    common(p)
-    p.set_defaults(func=cmd_koszul)
-
-    p = sub.add_parser("free-basis",
-                       help="free-algebra basis families (multilinear component)")
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("-v", "--verbose", action="store_true")
-    common(p, mode=False, delta=False)
-    p.set_defaults(func=cmd_free_basis)
-
-    p = sub.add_parser("export-catalog", help="write every catalog entry as a file")
-    p.add_argument("-o", "--output", default=None)
-    common(p, mode=False, delta=False)
-    p.set_defaults(func=cmd_export_catalog)
-
+    rows = [row for row in _COMMANDS if row[0] == command] or _COMMANDS
+    # a lone sub-parser still lists every command in the usage line; the full
+    # build keeps argparse's own metavar, which its errors call "command"
+    metavar = "{%s}" % ",".join(row[0] for row in _COMMANDS) if len(rows) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, arguments, flags in rows:
+        p = sub.add_parser(name, help=help_text)
+        for arg_flags, kwargs in arguments:
+            p.add_argument(*arg_flags, **kwargs)
+        _common(p, **flags)
+        # looked up per build, so a handler replaced at run time is the one called
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.time()
     try:
         code = args.func(args)

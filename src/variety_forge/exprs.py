@@ -216,11 +216,13 @@ def read_directives(text: str, error, generic_delta=False):
 
     ``op <name> <symmetry>`` declares an operation once, ``param delta =
     <rational>`` binds d, and a bare ``param delta`` leaves it generic where
-    ``generic_delta``.  ``rest`` holds the ``(lineno, line)`` of every other
-    line.  A malformed directive raises ``error("line N: ...")``.
+    ``generic_delta``; one ``param`` line at most.  ``rest`` holds the
+    ``(lineno, line)`` of every other line.  A malformed directive raises
+    ``error("line N: ...")``.
     """
     ops = {}
     delta = None
+    delta_declared = False
     rest = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -237,12 +239,15 @@ def read_directives(text: str, error, generic_delta=False):
             except TermError as exc:
                 raise error("line %d: %s" % (lineno, exc)) from None
         elif words[0] == "param":
-            if generic_delta and words[1:] == ["delta"]:
-                continue
             pname, _, value = line[len("param"):].partition("=")
             pname = pname.strip()
             if pname not in ("", "delta"):
                 raise error("line %d: unknown parameter %r" % (lineno, pname))
+            if pname and delta_declared:
+                raise error("line %d: parameter 'delta' declared twice" % lineno)
+            delta_declared = True
+            if generic_delta and words[1:] == ["delta"]:
+                continue
             try:
                 # a nameless line (``param``, ``param = 2``) is malformed
                 delta = Fraction(value if pname else "")

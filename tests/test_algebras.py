@@ -47,6 +47,11 @@ def test_load_algebra_errors():
         with pytest.raises(AlgebraError, match=r"^line \d+: "):
             parse_algebra_text(text)
     assert parse_algebra_text("dim 2\nparam delta = -1/2\n").delta == F(-1, 2)
+    # the dimension and d are given once each, refused on the repeated line
+    with pytest.raises(AlgebraError, match=r"^line 2: dimension declared twice"):
+        parse_algebra_text("dim 3\ndim 2\n")
+    with pytest.raises(AlgebraError, match=r"^line 3: parameter 'delta' declared twice"):
+        parse_algebra_text("dim 2\nparam delta = 1\nparam delta = 2\n")
     # catalog algebras: the name, and the free parameter of a family
     with pytest.raises(CatalogError, match="unknown algebra"):
         algebra("no-such-algebra")

@@ -1,16 +1,82 @@
 """Command-line behaviour: outputs, exit codes, determinism, file round trips."""
 
+import argparse
+
 import pytest
 
-from variety_forge import engine, scalar
+from variety_forge import cli, engine, scalar
 from variety_forge.catalog import variety
-from variety_forge.cli import main
+from variety_forge.cli import build_parser, main
+
+COMMANDS = ("dim", "consequence", "equiv", "check", "tensor", "depolarize", "dual",
+            "koszul", "free-basis", "export-catalog")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def exits(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_sub_parser_prints_the_help_of_the_full_parser(capsys, command):
+    whole = exits(capsys, build_parser().parse_args, [command, "--help"])
+    alone = exits(capsys, build_parser(command).parse_args, [command, "--help"])
+    assert alone == whole
+    assert whole[0] == 0 and whole[1].startswith("usage: variety-forge %s " % command)
+
+
+def test_one_sub_parser_prints_the_errors_of_the_full_parser(capsys):
+    listed = "{%s}" % ",".join(COMMANDS)
+    for argv, words in ((["dim", "delta-poisson", "--arity", "3", "extra"],
+                         # the top-level parser's usage names every command
+                         (listed, "error: unrecognized arguments: extra")),
+                        (["dim", "delta-poisson"],
+                         ("error: the following arguments are required: --arity",)),
+                        (["equiv", "poisson", "--arity", "3"],
+                         ("error: the following arguments are required: variety2",))):
+        whole = exits(capsys, build_parser().parse_args, argv)
+        alone = exits(capsys, build_parser(argv[0]).parse_args, argv)
+        assert alone == whole, argv
+        assert whole[:2] == (2, "") and all(w in whole[2] for w in words), whole
+
+
+def test_main_without_a_known_command_names_every_command(capsys):
+    listed = "{%s}" % ",".join(COMMANDS)
+    for argv, code, words in (([], 2, ("required: command",)),
+                              (["-h"], 0, COMMANDS),
+                              (["di"], 2, ("argument command: invalid choice: 'di'",))):
+        got, out, err = exits(capsys, main, argv)
+        assert got == code and listed in out + err, argv
+        assert all(w in out + err for w in words), argv
+
+
+def test_a_known_command_builds_its_own_sub_parser_only(capsys, monkeypatch):
+    assert subcommands(build_parser("dim")) == ["dim"]
+    assert subcommands(build_parser()) == list(COMMANDS)
+    assert subcommands(build_parser("di")) == list(COMMANDS)
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, "free-basis", "--arity", "3", "--no-timing")[0] == 0
+    assert built == ["free-basis"]
 
 
 def test_dim_command(capsys):
@@ -242,7 +308,9 @@ def test_exit_codes(capsys, tmp_path):
                                         ("dim 2\nop dot sym\n", 2),
                                         ("dim 2\ndot e1 e1 = 1/0*e2\n", 2),
                                         ("dim 2\nop dot symmetric\nop dot antisymmetric\n"
-                                         "dot e1 e2 = e1\n", 3))):
+                                         "dot e1 e2 = e1\n", 3),
+                                        ("dim 3\ndim 2\n", 2),
+                                        ("dim 2\nparam delta = 1\nparam delta = 2\n", 3))):
         path = tmp_path / ("bad%d.alg" % i)
         path.write_text(text)
         code, out, err = run(capsys, "check", str(path), "assoc", "--no-timing")
@@ -257,7 +325,12 @@ def test_exit_codes(capsys, tmp_path):
                                         ("op dot sym\n", 1),
                                         # each association type once, not twice
                                         ("op dot symmetric\nop dot symmetric\nidentity: "
-                                         "dot(dot(x1,x2),x3) - dot(x1,dot(x2,x3))\n", 2))):
+                                         "dot(dot(x1,x2),x3) - dot(x1,dot(x2,x3))\n", 2),
+                                        # d once: a second param line, bare or bound
+                                        ("op dot symmetric\nparam delta = 1\n"
+                                         "param delta = 2\n", 3),
+                                        ("op dot symmetric\nparam delta\n"
+                                         "param delta = 2\n", 3))):
         path = tmp_path / ("bad%d.var" % i)
         path.write_text(text)
         code, out, err = run(capsys, "dim", str(path), "--arity", "3", "--no-timing")

@@ -326,6 +326,13 @@ def test_variety_file_errors():
                  "op dot symmetric\nop dot symmetric\n"):
         with pytest.raises(EngineError, match=r"^line \d+: "):
             parse_variety_text(text)
+    # d is given once: a second param line, bare or bound, is refused on its line
+    for text in ("op dot symmetric\nparam delta = 1\nparam delta = 2\n",
+                 "op dot symmetric\nparam delta\nparam delta = 2\n",
+                 "op dot symmetric\nparam delta = 2\nparam delta\n",
+                 "op dot symmetric\nparam delta\nparam delta\n"):
+        with pytest.raises(EngineError, match=r"^line 3: parameter 'delta' declared twice"):
+            parse_variety_text(text)
     # an operation is declared once: a conflicting op line is refused on its
     # own line, not on the first identity that uses it, and so is a repeat
     # in the constructor

@@ -133,6 +133,8 @@ def test_both_file_formats_read_directives_alike(text, ops, delta):
     ("# header\nop dot sym\n", "line 2: unknown symmetry 'sym'"),
     ("op dot symmetric\nop dot symmetric\n", "line 2: operation 'dot' declared twice"),
     ("op dot symmetric\n\nop dot antisymmetric\n", "line 3: operation 'dot' declared twice"),
+    ("op dot symmetric\nparam delta = 1\nparam delta = 2\n",
+     "line 3: parameter 'delta' declared twice"),
 ])
 def test_both_file_formats_refuse_directives_alike(text, message):
     assert _read_both(text) == [message] * 2
@@ -149,5 +151,6 @@ def test_every_catalog_file_round_trips_through_its_reader():
         a = algebra(name)
         text = format_algebra(a)
         back = parse_algebra_text(text, name=name)
-        assert set(back.ops) == set(a.ops) and back.delta == a.delta, name
+        assert back.ops == a.ops and back.delta == a.delta, name
         assert back.tables == a.tables, name
+        assert format_algebra(back) == text, name
