@@ -103,9 +103,12 @@ def cmd_consequence(args):
         target = parse_expr(args.target, v.ops)
     n = target.arity if args.arity is None else args.arity
     answer = is_consequence(v, target, n, mode=args.mode)
-    space = consequences(v, n, mode=args.mode)
+    # a target that normalizes to zero has no arity of its own, and so no space
+    zero = target.is_zero() and args.arity is None
+    space = None if zero else consequences(v, n, mode=args.mode)
     print("consequence=%s" % ("yes" if answer else "no"))
-    print("rank=%d" % space.rank)
+    if space is not None:
+        print("rank=%d" % space.rank)
     if at_sample_point(v, args.mode):
         print("probabilistic=yes")
     return _expect(args, answer)

@@ -139,11 +139,9 @@ class MonomialContext:
     type on first access; ``index`` maps a monomial to its column and learns
     each monomial when it is first looked up.
 
-    An index map (``_IndexMap``) is filled column by column.  A column's
-    image is the join of its two children's images, and the image of a
-    proper node the join of its children's images, each found the first time
-    it is needed (``_NodeImages``), so no tree is renormalised.  A signed
-    node id is ``~id`` for the negated node.
+    An index map (``_IndexMap``) is filled column by column from the images
+    of the proper nodes (``_NodeImages``), so no tree is renormalised.  A
+    signed node id is ``~id`` for the negated node.
     """
 
     def __init__(self, ops, n):
@@ -294,12 +292,6 @@ class MonomialContext:
         offsets = self.offsets
         return [range(offsets[t], offsets[t + 1]) for t in range(len(offsets) - 1)]
 
-    def _code(self, c):
-        """The code of column c: (op_name, left_id, right_id), or 1 at n = 1."""
-        t = self.type_of(c)
-        self._type_columns(t)
-        return self._codes[t][c - self.offsets[t]]
-
     @property
     def monomials(self):
         """Every monomial, in column order."""
@@ -319,40 +311,26 @@ class MonomialContext:
             self._monomials = out
         return self._monomials
 
-    def _ordered(self, name, a, b):
-        """(a, b, negated): the ids of name(a, b)'s children in canonical
-        order, a and b signed ids, and whether the node is negated."""
+    def _join(self, name, a, b):
+        """Signed id of the canonical form of name(a, b) over a proper subset,
+        a and b signed ids; recorded if new.  An (anti)symmetric op puts the
+        child with the smaller key first, an antisymmetric one negating."""
         neg = False
         if a < 0:
             a, neg = ~a, True
         if b < 0:
             b, neg = ~b, not neg
-        keys = self._keys
-        symmetry = self.table[name]
+        keys, symmetry = self._keys, self.table[name]
         if symmetry != NONE and keys[a] > keys[b]:
             a, b = b, a
             if symmetry == ANTISYMMETRIC:
                 neg = not neg
-        return a, b, neg
-
-    def _join(self, name, a, b):
-        """Signed id of the canonical form of name(a, b) over a proper subset,
-        a and b signed ids; recorded if new."""
-        a, b, neg = self._ordered(name, a, b)
         i = self.node_id.get((name, a, b))
         if i is None:
             kind = self._kind
             i = self._node((name, a, b), self._kind_of_spec[name, kind[a], kind[b]],
-                           self._keys[a][2] + self._keys[b][2])
+                           keys[a][2] + keys[b][2])
         return ~i if neg else i
-
-    def _locate(self, name, a, b):
-        """(type, leaf-word, negated) of the canonical form of name(a, b) over
-        all of 1..n, a and b signed ids; the type is not enumerated."""
-        a, b, neg = self._ordered(name, a, b)
-        kind = self._kind
-        return (self._type_of_spec[name, kind[a], kind[b]],
-                self._keys[a][2] + self._keys[b][2], neg)
 
     def perm_generator_tables(self):
         """Index maps for the S_n generators (1 2) and (1 2 ... n)."""
@@ -461,35 +439,48 @@ class _IndexMap(dict):
         self._times_fresh = times_fresh
         self._types = {}
 
-    def _locate(self, c):
-        """(type, leaf-word, negated) of the image of column c."""
-        code, img, target = self._source()._code(c), self._img, self._target()
+    def _locate(self, c, resolve):
+        """The type of the image of column c, recorded in ``_types``, and the
+        image column too if resolve or if that type is enumerated already.
+        Ordered and signed as in ``MonomialContext._join``, inlined here."""
+        source, target, img = self._source(), self._target(), self._img
+        t = bisect.bisect_right(source.offsets, c) - 1
+        if source._codes[t] is None:
+            source._type_columns(t)
+        code = source._codes[t][c - source.offsets[t]]
         if self._times_fresh is None:
-            return target._locate(code[0], img[code[1]], img[code[2]])
-        e = (target.node_id[code] if code.__class__ is int
-             else target._join(code[0], img[code[1]], img[code[2]]))
-        name, flip = self._times_fresh
-        fresh = target.node_id[target.n]
-        return target._locate(name, fresh, e) if flip else target._locate(name, e, fresh)
+            name, a, b = code[0], img[code[1]], img[code[2]]
+        else:
+            e = (target.node_id[code] if code.__class__ is int
+                 else target._join(code[0], img[code[1]], img[code[2]]))
+            name, flip = self._times_fresh
+            fresh = target.node_id[target.n]
+            a, b = (fresh, e) if flip else (e, fresh)
+        neg = False
+        if a < 0:
+            a, neg = ~a, True
+        if b < 0:
+            b, neg = ~b, not neg
+        keys, symmetry = target._keys, target.table[name]
+        if symmetry != NONE and keys[a] > keys[b]:
+            a, b = b, a
+            if symmetry == ANTISYMMETRIC:
+                neg = not neg
+        kind = target._kind
+        t = self._types[c] = target._type_of_spec[name, kind[a], kind[b]]
+        columns = target._type_columns(t) if resolve else target._columns[t]
+        if columns is not None:
+            j = columns[keys[a][2] + keys[b][2]]
+            self[c] = (j, -1) if neg else (j, 1)
+        return t
 
     def type_of(self, c):
         """The type of the image of column c."""
-        t = self._types.get(c)
-        if t is None:
-            t, word, neg = self._locate(c)
-            self._types[c] = t
-            columns = self._target()._columns[t]
-            if columns is not None:
-                j = columns[word]
-                self[c] = (j, -1) if neg else (j, 1)
-        return t
+        return self._types[c] if c in self._types else self._locate(c, False)
 
     def __missing__(self, c):
-        t, word, neg = self._locate(c)
-        self._types[c] = t
-        j = self._target()._type_columns(t)[word]
-        entry = self[c] = (j, -1) if neg else (j, 1)
-        return entry
+        self._locate(c, True)
+        return self[c]
 
 
 def get_context(ops, n) -> MonomialContext:
@@ -538,11 +529,12 @@ def row_to_element(entries, monomials, arity) -> Element:
 
 
 def apply_index_map(row, table, neg, killed=()):
-    """The image of row under an index map, without the entries whose image
-    lies in a type in killed (the unit rows of such a type eliminate them)."""
-    out = {}
+    """The image of row under a table column -> (image column, sign), without
+    the entries whose image lies in a type in killed (the unit rows of such a
+    type eliminate them); killed needs an ``_IndexMap``, read directly."""
+    out, types = {}, table._types if killed else None
     for c, v in row.items():
-        if killed and table.type_of(c) in killed:
+        if killed and (types[c] if c in types else table._locate(c, False)) in killed:
             continue
         j, s = table[c]
         out[j] = v if s == 1 else neg(v)
@@ -785,10 +777,10 @@ def is_consequence(v: Variety, target: Element, n: int, mode: str = "exact") -> 
     dropped before their columns are looked up: those rows reduce them to
     zero, and the query enumerates no such type.
     """
+    if target.is_zero():
+        return True  # zero lies in every span, whatever n is
     if target.arity != n:
         raise EngineError("target arity %d does not match n=%d" % (target.arity, n))
-    if target.is_zero():
-        return True
     space = consequences(v, n, mode)
     try:
         return _in_span(v, space, target)

@@ -4,7 +4,11 @@ Rows are dicts column -> entry.  Entries live in an integral domain: plain
 ints for rational problems, integer-coefficient polynomial tuples for
 generic-d problems.  Elimination is fraction-free: cross-multiplication by
 the two pivots divided by a common factor (``cancel`` may split by any common
-factor, not only the gcd), followed by content reduction.
+factor, not only the gcd), followed by content reduction.  Each domain has
+one elimination loop, ``eliminate``, with no call per entry over Z and none
+over Z[d] for a constant factor or a constant difference.  Every product of
+two non-constant polynomials goes through ``PolyDomain.mul`` (``scalar.pmul``),
+which checks the degree ceiling: ``DegreeOverflowError`` leaves the loop.
 
 ``to_row`` is the one conversion from field values (ints, Fractions,
 RationalFunctions) to such a domain row: it clears every denominator.  The
@@ -44,12 +48,13 @@ the rows listed under it rather than out of every stored row.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import compress
 
-from .scalar import (PONE, RationalFunction, pcontent, pdeg, pdivexact,
-                     pgcd, pmul, pneg, pnormalize, pquo, psub)
+from .scalar import (PONE, RationalFunction, pdivexact, pgcd, pmul, pneg,
+                     pnormalize, pquo, psub)
 
 
 class ZZDomain:
@@ -62,33 +67,31 @@ class ZZDomain:
         """row without its zero entries and its entries at columns flagged in skip."""
         return {c: v for c, v in row.items() if v and not skip[c]}
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
+    neg = staticmethod(operator.neg)
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def cancel(a, b):
-        g = math.gcd(a, b)
-        return a // g, b // g
+    def eliminate(r, s, p):
+        """r <- a*r - b*s in place, with (a, b) = (s[p], r[p]) over their gcd."""
+        g = math.gcd(s[p], r[p])
+        a, b = s[p] // g, r[p] // g
+        if a != 1:
+            for c, v in r.items():
+                r[c] = a * v
+        get = r.get
+        for c, v in s.items():
+            v = get(c, 0) - b * v
+            if v:
+                r[c] = v
+            else:
+                del r[c]
+        return r
 
     @staticmethod
     def reduce_row(row):
-        g = 0
-        for v in row.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                return row
+        g = math.gcd(*row.values())
         if g > 1:
-            for c in row:
-                row[c] //= g
+            for c, v in row.items():
+                row[c] = v // g
         return row
 
     reduce_row_full = reduce_row  # the integer content is the full content
@@ -97,9 +100,7 @@ class ZZDomain:
     def positive(entry):
         return entry > 0
 
-    @staticmethod
-    def field_div(a, b):
-        return Fraction(a, b)
+    field_div = staticmethod(Fraction)
 
 
 class PolyDomain:
@@ -112,15 +113,8 @@ class PolyDomain:
     def canonical_copy(row, skip):
         """row with normalized entries, without its zero entries and its
         entries at columns flagged in skip."""
-        out = {}
-        for c, v in row.items():
-            if skip[c]:
-                continue
-            if v and not v[-1]:
-                v = pnormalize(v)
-            if v:
-                out[c] = v
-        return out
+        out = {c: v if v[-1] else pnormalize(v) for c, v in row.items() if v and not skip[c]}
+        return {c: v for c, v in out.items() if v} if () in out.values() else out
 
     mul = staticmethod(pmul)
     sub = staticmethod(psub)
@@ -128,16 +122,14 @@ class PolyDomain:
 
     @staticmethod
     def cancel(a, b):
-        """Nonzero (a/g, b/g) for a common factor g of a and b.
-
-        g is the integer gcd when both are constants.  Otherwise it is a or b
-        when one divides the other, and the PRS gcd only when neither does,
-        so cancel may split by a common factor that is not the gcd.
-        Elimination needs no more: the normal form comes from reduce_row_full
-        in insert and finalize.  As with the gcd, the first entry is PONE
-        when a has a positive leading coefficient and divides b, so
-        _eliminate skips scaling r.
-        """
+        """Nonzero (a/g, b/g) for a common factor g of a and b: g = 1 when a
+        is 1, the integer gcd of two constants, else a or b when one divides
+        the other, else the PRS gcd.  Canonical form comes from
+        reduce_row_full, so no more is needed.  The first entry is PONE when
+        a has a positive leading coefficient and divides b, so eliminate
+        skips scaling r."""
+        if a == PONE:
+            return PONE, b
         if len(a) == 1 and len(b) == 1:
             g = math.gcd(a[0], b[0])
             return (a[0] // g,), (b[0] // g,)
@@ -154,19 +146,43 @@ class PolyDomain:
             return a, b
         return pdivexact(a, g), pdivexact(b, g)
 
+    @staticmethod
+    def eliminate(r, s, p):
+        """r <- a*r - b*s in place, with (a, b) = cancel(s[p], r[p]).  A
+        constant minus a constant (or none) is one int subtraction; any other
+        difference of two entries calls PolyDomain.sub, looked up per call."""
+        a, b = PolyDomain.cancel(s[p], r[p])
+        if a != PONE:
+            r.update(_times(a, r))
+        get, sub = r.get, PolyDomain.sub
+        for c, v in _times(b, s):
+            cur = get(c, ())
+            if len(v) == 1 and len(cur) < 2:
+                v = (cur[0] if cur else 0) - v[0]
+                v = (v,) if v else ()
+            else:
+                v = sub(cur, v) if cur else pneg(v)
+            if v:
+                r[c] = v
+            else:
+                del r[c]
+        return r
+
     @classmethod
     def reduce_row(cls, row):
-        # integer content first (cheap); polynomial content only when degrees
-        # drift upward, per the lazy reduction strategy
-        g = 0
+        """Divide out the integer content, in the same pass as the degree
+        test, and the polynomial content only once some degree passes
+        ``lazy_degree``."""
+        g, top = 0, 1
         for v in row.values():
-            g = math.gcd(g, pcontent(v))
-            if g == 1:
-                break
+            if g != 1:
+                g = math.gcd(g, *v)
+            if len(v) > top:
+                top = len(v)
         if g > 1:
             for c, v in row.items():
-                row[c] = tuple(x // g for x in v)
-        if any(pdeg(v) > cls.lazy_degree for v in row.values()):
+                row[c] = tuple([x // g for x in v])
+        if top > cls.lazy_degree + 1:
             cls.reduce_row_full(row)
         return row
 
@@ -186,9 +202,22 @@ class PolyDomain:
     def positive(entry):
         return entry[-1] > 0
 
-    @staticmethod
-    def field_div(a, b):
-        return RationalFunction(a, b)
+    field_div = staticmethod(RationalFunction)
+
+
+def _times(k, row):
+    """(c, k*v) for every entry v of a Z[d] row.  A constant factor scales
+    coefficient by coefficient; a product of two non-constant polynomials
+    goes through PolyDomain.mul, looked up at call time."""
+    if len(k) == 1:
+        x = k[0]
+        if x == 1:
+            return row.items()
+        return [(c, (x * v[0],) if len(v) == 1 else tuple([x * w for w in v]))
+                for c, v in row.items()]
+    mul = PolyDomain.mul
+    return [(c, tuple([v[0] * w for w in k]) if len(v) == 1 else mul(k, v))
+            for c, v in row.items()]
 
 
 def to_row(entries, domain):
@@ -256,27 +285,6 @@ class RowBasis:
             row = rows.get(p)
             yield p, {p: one} if row is None else row
 
-    def _eliminate(self, r, s, p):
-        """r <- a*r - b*s in place, with (a, b) = cancel(s[p], r[p]); r[p] becomes zero."""
-        dom = self.domain
-        a, b = dom.cancel(s[p], r[p])
-        mul, sub, neg = dom.mul, dom.sub, dom.neg
-        if a != dom.one:
-            for c, v in r.items():
-                r[c] = mul(a, v)
-        for c, v in s.items():
-            bv = mul(b, v)
-            cur = r.get(c)
-            if cur is None:
-                r[c] = neg(bv)
-            else:
-                nv = sub(cur, bv)
-                if nv:
-                    r[c] = nv
-                else:
-                    del r[c]
-        return r
-
     def _reduce(self, row):
         """Fully reduce a row against the basis; returns the remainder.
 
@@ -289,10 +297,10 @@ class RowBasis:
         over the pivot columns the row holds leaves none of them.
         """
         rows, dom = self.rows, self.domain
-        r = dom.canonical_copy(row, self.unit)
+        r, eliminate = dom.canonical_copy(row, self.unit), dom.eliminate
         steps = 0
-        for c in sorted(c for c in r if c in rows):
-            self._eliminate(r, rows[c], c)
+        for c in sorted(r.keys() & rows.keys()):
+            eliminate(r, rows[c], c)
             steps += 1
             if steps % 8 == 0:
                 dom.reduce_row(r)
@@ -342,7 +350,7 @@ class RowBasis:
             s = rows.get(q)
             if s is None or p not in s:
                 continue
-            s2 = self._orient(dom.reduce_row(self._eliminate(dict(s), r, p)), q)
+            s2 = self._orient(dom.reduce_row(dom.eliminate(dict(s), r, p)), q)
             if len(s2) == 1:
                 self._flag(q)
                 continue

@@ -37,10 +37,11 @@ _DEGREE_LIMIT = 64
 # integer polynomial helpers
 
 def pnormalize(coeffs) -> Poly:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    c = tuple(coeffs)
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return c[:n]
 
 
 def pdeg(p: Poly) -> int:
@@ -49,17 +50,19 @@ def pdeg(p: Poly) -> int:
 
 
 def padd(a: Poly, b: Poly) -> Poly:
-    # inputs carry no trailing zeros, so only equal lengths can cancel the top
+    # inputs carry no trailing zeros, so only equal lengths can cancel the
+    # top, and only a zero top coefficient needs normalising
     la, lb = len(a), len(b)
     if la > lb:
         return tuple(map(operator.add, a, b)) + a[lb:]
     if la < lb:
         return tuple(map(operator.add, a, b)) + b[la:]
-    return pnormalize(map(operator.add, a, b))
+    out = tuple(map(operator.add, a, b))
+    return out if not out or out[-1] else pnormalize(out)
 
 
 def pneg(a: Poly) -> Poly:
-    return tuple([-v for v in a])
+    return tuple(map(operator.neg, a))
 
 
 def psub(a: Poly, b: Poly) -> Poly:
@@ -67,8 +70,9 @@ def psub(a: Poly, b: Poly) -> Poly:
     if la > lb:
         return tuple(map(operator.sub, a, b)) + a[lb:]
     if la < lb:
-        return tuple(map(operator.sub, a, b)) + tuple([-v for v in b[la:]])
-    return pnormalize(map(operator.sub, a, b))
+        return tuple(map(operator.sub, a, b)) + tuple(map(operator.neg, b[la:]))
+    out = tuple(map(operator.sub, a, b))
+    return out if not out or out[-1] else pnormalize(out)
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
@@ -134,6 +138,8 @@ def pquo(a: Poly, b: Poly):
     if qn < 0 or a[-1] % lb or (a[0] % b[0] if b[0] else a[0]):
         return None
     if not db:
+        if lb == 1:
+            return a
         if any(v % lb for v in a):
             return None
         return tuple([v // lb for v in a])

@@ -301,6 +301,17 @@ def test_exit_codes(capsys, tmp_path):
     code, out, err = run(capsys, "consequence", "poisson", "--target", "assoc",
                          "--arity", "0", "--no-timing")
     assert code == 2 and out == ""
+    # a target that normalizes to zero is a consequence at every arity
+    for target in ("dot(x1,x2) - dot(x2,x1)", "0"):
+        code, out, err = run(capsys, "consequence", "poisson", "--target", target,
+                             "--no-timing")
+        assert (code, out, err) == (0, "consequence=yes\n", "")
+        code, out, _ = run(capsys, "consequence", "poisson", "--target", target,
+                           "--arity", "2", "--no-timing")
+        assert code == 0 and out.splitlines() == ["consequence=yes", "rank=0"]
+    code, out, _ = run(capsys, "consequence", "poisson", "--target", "0", "--arity", "0",
+                       "--no-timing")
+    assert code == 2 and out == ""
     # a malformed algebra file is an input error naming its line, not a crash
     for i, (text, lineno) in enumerate((("dim\n", 1), ("dim 2\nop dot\n", 2),
                                         ("dim 2\nparam delta\n", 2),
@@ -378,7 +389,7 @@ def test_degree_ceiling_on_the_elimination_path(capsys, monkeypatch):
     engine.clear_cache()
     with pytest.raises(scalar.DegreeOverflowError) as excinfo:
         engine.dim_multilinear(variety("transposed-delta-poisson"), 5)
-    assert "_eliminate" in {entry.name for entry in excinfo.traceback}
+    assert "eliminate" in {entry.name for entry in excinfo.traceback}
     engine.clear_cache()
     code, _, err = run(capsys, "dim", "transposed-delta-poisson", "--arity", "5",
                        "--no-timing")

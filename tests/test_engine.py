@@ -133,6 +133,19 @@ def test_equivalence_compares_d_only_where_both_sides_use_it():
         equivalent(variety("anti-poisson"), variety("poisson"), 3)
 
 
+def test_a_target_that_normalizes_to_zero_is_a_consequence_at_every_arity():
+    v = variety("poisson")
+    for text in ("dot(x1,x2) - dot(x2,x1)", "0", "bracket(x1,x2) + bracket(x2,x1)"):
+        zero = parse_expr(text, v.ops)
+        assert zero.is_zero()
+        for n in (zero.arity, 1, 2, 3, 5):
+            for mode in ("exact", "sampled"):
+                assert is_consequence(v, zero, n, mode)
+    # a nonzero target still has to match the arity
+    with pytest.raises(EngineError, match="does not match"):
+        is_consequence(v, identity("assoc"), 4)
+
+
 def test_target_with_undeclared_operations_is_rejected():
     # every membership path: d-free, generic d, the sample point, unit rows
     for name, target in (("mixed-poisson", "h1"), ("one-op-free", "assoc"),
@@ -623,6 +636,45 @@ def test_index_maps_match_renormalised_trees(name):
             reference = _reference_lift_tables(ctx)
             assert _every_column(lifts, ctx) == reference
             assert types == [[target.type_of(j) for j, _ in table] for table in reference]
+
+
+@pytest.mark.parametrize("name", sorted(OP_SETS))
+def test_apply_index_map_drops_killed_types(name):
+    # every image type but the first killed, against the reference tables.
+    # Under a lift the image types lie in the next context: under every other
+    # table one killed type is enumerated first, and the others, never
+    # looked up, stay unenumerated
+    ops = OP_SETS[name]
+    clear_cache()
+    contexts = [get_context(ops, n) for n in range(1, 6)]
+    enumerated = unenumerated = 0
+    for ctx, target in zip(contexts, contexts[1:] + [None]):
+        row = {c: (c % 7 + 1) * (-1) ** c for c in range(ctx.ncols)}
+        pairs = [(table, ref, ctx) for table, ref in
+                 zip(ctx.perm_generator_tables(), _reference_perm_tables(ctx))]
+        if target is not None:
+            pairs += [(table, ref, target) for table, ref in
+                      zip(ctx.lift_tables(), _reference_lift_tables(ctx))]
+        images = [[(j, sign, image_ctx.type_of(j)) for j, sign in ref]
+                  for _, ref, image_ctx in pairs]
+        for k, ((table, _, image_ctx), image) in enumerate(zip(pairs, images)):
+            types = sorted({t for _, _, t in image})
+            killed = set(types[1:] or types)
+            fresh = sorted(t for t in killed if image_ctx._columns[t] is None)
+            if image_ctx is target and fresh and k % 2:
+                image_ctx._type_columns(fresh.pop())
+                enumerated += 1
+            expected = {j: v * sign for (j, sign, t), v in zip(image, row.values())
+                        if t not in killed}
+            for _ in range(2):  # the second time reads the recorded types
+                assert engine.apply_index_map(row, table, ZZDomain.neg, killed) == expected
+            if image_ctx is target:
+                assert all(image_ctx._columns[t] is None for t in fresh)
+                unenumerated += len(fresh)
+        for (table, _, _), image in zip(pairs, images):
+            assert engine.apply_index_map(row, table, ZZDomain.neg) == {
+                j: v * sign for (j, sign, _), v in zip(image, row.values())}
+    assert enumerated > 0 and unenumerated > 0
 
 
 def test_index_maps_match_renormalised_trees_at_arity_six():

@@ -4,18 +4,20 @@ import copy
 import hashlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from variety_forge import scalar
 from variety_forge.catalog import variety
 from variety_forge.engine import consequences
 from variety_forge.linalg import (PolyDomain, RowBasis, ZZDomain, nullspace, rank,
                                   sampled_delta_points, to_row)
-from variety_forge.scalar import (DELTA, PONE, RF_ZERO, RationalFunction, padd,
-                                  pcontent, pdivexact, pgcd, pmul, pneg, pnormalize,
-                                  pscale)
+from variety_forge.scalar import (DELTA, PONE, RF_ZERO, DegreeOverflowError,
+                                  RationalFunction, padd, pcontent, pdivexact, pgcd,
+                                  pmul, pneg, pnormalize, pscale, psub)
 
 from conftest import dense_rref, random_rational, random_rational_function, seeded
 
@@ -537,7 +539,7 @@ def _check_cancel(A, B):
 @given(poly_factors, poly_factors, poly_factors)
 def test_cancel_contract(f, g, h):
     if f[-1] < 0:
-        f = pneg(f)  # a stored pivot, as _eliminate passes it
+        f = pneg(f)  # a stored pivot, as eliminate passes it
     assert _check_cancel(f, f) == (PONE, PONE)                  # equal
     assert _check_cancel(f, pneg(f)) == (PONE, pneg(PONE))      # negated
     assert _check_cancel(f, pmul(f, g)) == (PONE, g)            # f divides
@@ -554,6 +556,108 @@ def test_cancel_examples():
     assert _check_cancel((1, 1), (2, 1)) == ((1, 1), (2, 1))    # coprime
     # (1+d)(2+d) against (1+d)(3+d): the split goes through the gcd 1+d
     assert _check_cancel((2, 3, 1), (3, 4, 1)) == ((2, 1), (3, 1))
+
+
+# -- the elimination loops, against a reference built from cancel and
+# -- mul/sub/neg one entry at a time -----------------------------------------
+
+def _reference_elimination(r, s, p, poly):
+    """a*r - b*s, (a, b) the pivot entries over a common factor, entry by entry."""
+    if poly:
+        (a, b), one = PolyDomain.cancel(s[p], r[p]), PONE
+        mul, sub, neg = pmul, psub, pneg
+    else:
+        g = math.gcd(s[p], r[p])
+        (a, b), one = (s[p] // g, r[p] // g), 1
+        mul, sub, neg = operator.mul, operator.sub, operator.neg
+    out = dict(r) if a == one else {c: mul(a, v) for c, v in r.items()}
+    for c, v in s.items():
+        if c in out:
+            out[c] = sub(out[c], mul(b, v))
+            if not out[c]:
+                del out[c]
+        else:
+            out[c] = neg(mul(b, v))
+    return out, a, b
+
+
+def _elimination_pair(rng, poly):
+    """(r, s, p): rows with the pivot column p, negative entries, constant and
+    non-constant Z[d] entries, and in half the pairs r a multiple of s on
+    some columns, p among them, so that those entries cancel to zero."""
+    def entry():
+        if poly:
+            v = pnormalize(rng.randint(-3, 3) for _ in range(rng.choice((1, 1, 2, 3))))
+            return v or (rng.choice((-1, 1)),)
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+    p = rng.randrange(8)
+    pivots = [(1,), (-1,), (2,), (-3,), (1, 1), (0, 2)] if poly else [1, -1, 2, -3]
+    s = {c: entry() for c in range(8) if rng.random() < 0.6}
+    s[p] = rng.choice(pivots + [entry()])
+    r = {c: entry() for c in range(8) if rng.random() < 0.6}
+    r[p] = entry()
+    if rng.random() < 0.5:
+        m = entry()
+        for c in s:
+            if c == p or rng.random() < 0.5:
+                r[c] = pmul(m, s[c]) if poly else m * s[c]
+    return r, s, p
+
+
+@pytest.mark.parametrize("poly", [False, True], ids=["Z", "Zd"])
+def test_elimination_loop_matches_the_entrywise_reference(poly):
+    domain = PolyDomain if poly else ZZDomain
+    rng = seeded(2501 if poly else 2502)
+    seen = set()
+    for _ in range(600):
+        r, s, p = _elimination_pair(rng, poly)
+        expected, a, b = _reference_elimination(r, s, p, poly)
+        s_before, arg = dict(s), dict(r)
+        out = domain.eliminate(arg, s, p)
+        assert out is arg and out == expected and s == s_before
+        assert p not in out and all(out.values())
+        if poly:
+            assert all(v[-1] for v in out.values())  # normalized
+        seen.add("a == one" if a == domain.one else "a != one")
+        seen.add("cancelled" if len(out) < len(set(r) | set(s)) - 1 else "none cancelled")
+        if poly:
+            seen.add("constant b" if len(b) == 1 else "non-constant b")
+            seen.add("constant a" if len(a) == 1 else "non-constant a")
+    assert {"a == one", "a != one", "cancelled", "none cancelled"} <= seen
+    if poly:
+        assert {"constant a", "non-constant a", "constant b", "non-constant b"} <= seen
+
+
+def test_every_product_of_two_non_constants_goes_through_poly_mul(monkeypatch):
+    # a wrapper installed on PolyDomain.mul, as a tracer does, sees each one
+    calls = []
+
+    def recording_mul(x, y):
+        calls.append((x, y))
+        return pmul(x, y)
+
+    monkeypatch.setattr(PolyDomain, "mul", staticmethod(recording_mul))
+    rng = seeded(2503)
+    for _ in range(300):
+        r, s, p = _elimination_pair(rng, True)
+        expected, a, b = _reference_elimination(r, s, p, True)
+        del calls[:]
+        assert PolyDomain.eliminate(dict(r), s, p) == expected
+        wanted = [(a, v) for v in r.values() if a != PONE and len(a) > 1 and len(v) > 1]
+        wanted += [(b, v) for v in s.values() if len(b) > 1 and len(v) > 1]
+        assert calls == wanted
+
+
+def test_degree_ceiling_inside_the_elimination_loop(monkeypatch):
+    monkeypatch.setattr(scalar, "_DEGREE_LIMIT", 2)
+    # a constant multiplier never reaches the ceiling, whatever the degrees
+    r = {0: (2,), 1: (1, 0, 0, 5)}
+    assert PolyDomain.eliminate(dict(r), {0: (3,), 1: (0, 0, 0, 0, 1)}, 0) == {
+        1: (3, 0, 0, 15, -2)}
+    # (1+d) * d^2 has degree 3: past the ceiling, the loop raises
+    with pytest.raises(DegreeOverflowError):
+        PolyDomain.eliminate({0: (1, 1), 1: (1,)}, {0: (1, 2), 1: (0, 0, 1)}, 0)
 
 
 # sha256 of repr(consequences(v, 5).basis.canonical_rows()) for the generic-d
