@@ -444,10 +444,10 @@ class _IndexMap(dict):
         image column too if resolve or if that type is enumerated already.
         Ordered and signed as in ``MonomialContext._join``, inlined here."""
         source, target, img = self._source(), self._target(), self._img
-        t = bisect.bisect_right(source.offsets, c) - 1
-        if source._codes[t] is None:
-            source._type_columns(t)
-        code = source._codes[t][c - source.offsets[t]]
+        st = bisect.bisect_right(source.offsets, c) - 1  # the source column's type
+        if source._codes[st] is None:
+            source._type_columns(st)
+        code = source._codes[st][c - source.offsets[st]]
         if self._times_fresh is None:
             name, a, b = code[0], img[code[1]], img[code[2]]
         else:
