@@ -10,13 +10,13 @@ cli.
 
 from .algebras import (Algebra, AlgebraError, CheckReport, load_algebra,
                        merge_polarization, split_polarization, tensor)
-from .catalog import algebra, identity, one_op_variety, presentation, variety
+from .catalog import algebra, identity, presentation, variety
 from .engine import (ArityOverflowError, ConsequenceSpace, EngineError,
                      Variety, consequences, depolarize_variety,
-                     dim_multilinear, enumerate_monomials, equivalent,
-                     is_consequence, load_variety)
+                     dim_multilinear, equivalent, is_consequence,
+                     load_variety)
 from .exprs import format_element, parse_expr, parse_scalar
-from .linalg import RowBasis, nullspace, rank
+from .linalg import RowBasis, nullspace
 from .operads import (FreeBasisReport, KoszulVerdict, Series, compose,
                       free_delta_p_basis, hilbert_series, koszul_dual,
                       koszulness_witness)

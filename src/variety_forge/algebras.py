@@ -17,12 +17,10 @@ same exact value.
 
 from __future__ import annotations
 
-import itertools
 import os
 from fractions import Fraction
 
 from .exprs import read_directives
-from .linalg import RowBasis, ZZDomain, rank, to_row
 from .terms import BRACKET, DOT, PLAIN, Element, OpSymbol, ops_table
 
 _F = Fraction
@@ -77,34 +75,6 @@ class Algebra:
             table[(i, j)] = value
 
     # -- evaluation -------------------------------------------------------
-
-    def apply(self, op_name, u, v):
-        """Bilinear product of sparse vectors {index: Fraction}."""
-        table = self.tables.get(op_name)
-        if table is None:
-            raise AlgebraError("algebra lacks operations %s" % [op_name])
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                comps = table.get((i, j))
-                if comps:
-                    _add_scaled(out, comps, a * b)
-        return out
-
-    def _eval_tree(self, tree, assignment):
-        if isinstance(tree, int):
-            return assignment[tree]
-        return self.apply(tree[0], self._eval_tree(tree[1], assignment),
-                          self._eval_tree(tree[2], assignment))
-
-    def eval_element(self, e: Element, assignment, delta=None):
-        """Value of a multilinear element on vectors x_i -> assignment[i]."""
-        self._require_ops(e)
-        coeffs = self._coefficients(e, delta)
-        out = {}
-        for mono, c in zip(e.terms.keys(), coeffs):
-            _add_scaled(out, self._eval_tree(mono.tree, assignment), c)
-        return out
 
     def _require_ops(self, e: Element):
         missing = e.op_names() - set(self.tables)
@@ -188,46 +158,6 @@ class Algebra:
             label = "%s[%d]" % (v.name or "identity", idx + 1)
             entries.append(self.eval_identity(ident, delta=v.delta, label=label))
         return CheckReport(self.name or "algebra", v.name or "variety", entries)
-
-    # -- constructions ------------------------------------------------------
-
-    def bracket_is_perfect(self) -> bool:
-        """Span of all bracket values equals the whole algebra."""
-        rows = [to_row(v, ZZDomain) for v in self.tables.get("bracket", {}).values()]
-        return rank(rows, self.dim) == self.dim
-
-    def ideal_closure(self, vectors) -> RowBasis:
-        """Smallest subspace containing the vectors (sparse {index: coeff})
-        and all their products with basis elements, as a RowBasis over Z."""
-        basis = RowBasis(self.dim)
-        queue = []
-
-        def add(vec):
-            row = to_row(vec, ZZDomain)
-            if basis.insert(row):
-                queue.append(row)
-
-        for vec in vectors:
-            add(vec)
-        while queue:
-            vec = queue.pop()
-            for op in self.tables:
-                for i in range(self.dim):
-                    add(self.apply(op, {i: 1}, vec))
-                    add(self.apply(op, vec, {i: 1}))
-        return basis
-
-    def proper_ideal_from_basis_subsets(self):
-        """A proper nonzero ideal generated by a basis-vector subset, if any.
-
-        Exhaustive over the 2^dim - 2 candidate subsets; intended for the
-        tiny dimensions of the catalog's simplicity analysis.
-        """
-        for size in range(1, self.dim):
-            for subset in itertools.combinations(range(self.dim), size):
-                if self.ideal_closure([{i: 1} for i in subset]).rank < self.dim:
-                    return subset
-        return None
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name or "?", self.dim)

@@ -202,12 +202,6 @@ def variety(name: str, delta=None) -> Variety:
                    delta=base_delta if delta is None else delta, name=name)
 
 
-def one_op_variety(identity_names_, delta=None, name="") -> Variety:
-    """Ad-hoc one-operation variety from catalog identity names."""
-    idents = tuple(identity(i) for i in identity_names_)
-    return Variety(ONE_OP, idents, delta=delta, name=name or "+".join(identity_names_))
-
-
 # ---------------------------------------------------------------------------
 # algebras
 

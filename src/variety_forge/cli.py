@@ -15,16 +15,14 @@ import time
 from fractions import Fraction
 
 from . import catalog
-from .algebras import (Algebra, AlgebraError, format_algebra, load_algebra,
-                       merge_polarization, split_polarization, tensor)
-from .engine import (ArityOverflowError, EngineError, Variety, at_sample_point,
-                     consequences, dim_multilinear, equivalent, format_variety,
-                     is_consequence, load_variety)
+from .algebras import (Algebra, format_algebra, load_algebra, merge_polarization,
+                       split_polarization, tensor)
+from .engine import (ArityOverflowError, Variety, at_sample_point, consequences,
+                     dim_multilinear, equivalent, format_variety, is_consequence,
+                     load_variety)
 from .exprs import format_element, parse_expr
-from .operads import (OperadError, free_delta_p_basis, koszul_dual,
-                      koszulness_witness)
+from .operads import free_delta_p_basis, koszul_dual, koszulness_witness
 from .scalar import DegreeOverflowError
-from .terms import TermError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -294,8 +292,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller arity or order", file=sys.stderr)
         return EXIT_RESOURCE
-    except (_InputError, EngineError, AlgebraError, OperadError, TermError,
-            catalog.CatalogError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (_InputError, catalog.CatalogError, ValueError, ZeroDivisionError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     if not args.no_timing:

@@ -484,21 +484,16 @@ class _IndexMap(dict):
 
 
 def get_context(ops, n) -> MonomialContext:
-    key = (tuple((op.name, op.symmetry) for op in ops), n)
+    """The arity-n context of a signature, built in the first caller's op order.
+
+    Keyed by the sorted (name, symmetry) pairs: the columns do not depend on
+    the order the operations are declared in.
+    """
+    key = (tuple(sorted((op.name, op.symmetry) for op in ops)), n)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         ctx = _CONTEXTS[key] = MonomialContext(ops, n)
     return ctx
-
-
-def enumerate_monomials(n: int, ops) -> list:
-    """All canonical multilinear monomials of arity n, in column order.
-
-    For k operations all carrying a symmetry the count is (2n-3)!! * k^(n-1).
-    """
-    if n < 1:
-        raise EngineError("arity must be positive")
-    return list(get_context(ops, n).monomials)
 
 
 # ---------------------------------------------------------------------------

@@ -413,17 +413,6 @@ class RowBasis:
         div = self.domain.field_div
         return [{c: div(v, row[p]) for c, v in row.items()} for p, row in self.items()]
 
-    def __eq__(self, other):
-        return (isinstance(other, RowBasis) and self.ncols == other.ncols
-                and self.canonical_rows() == other.canonical_rows())
-
-
-def rank(rows, ncols: int, domain=ZZDomain) -> int:
-    basis = RowBasis(ncols, domain)
-    for r in rows:
-        basis.insert(r)
-    return basis.rank
-
 
 def nullspace(rows, ncols: int, domain=ZZDomain) -> RowBasis:
     """Basis of the right kernel {y : M y = 0}, dim = ncols - rank."""

@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 
 from variety_forge.engine import Variety
+from variety_forge.linalg import RowBasis, ZZDomain
 from variety_forge.scalar import RationalFunction
 from variety_forge.terms import (BRACKET, DOT, PLAIN, Element, OpSymbol, normalize_tree,
                                  ops_table)
@@ -51,6 +52,19 @@ def dense_rref(rows, ncols, to_field=Fraction):
                     r[c] -= f * piv[c]
         done.append(piv)
     return [{c: v for c, v in enumerate(r) if v} for r in done]
+
+
+def row_basis(rows, ncols, domain=ZZDomain):
+    """The RowBasis of the rows, inserted in order."""
+    basis = RowBasis(ncols, domain)
+    for row in rows:
+        basis.insert(row)
+    return basis
+
+
+def bracket_is_perfect(a):
+    """The bracket values of a structure-constant algebra span it (dense RREF)."""
+    return len(dense_rref(list(a.tables.get("bracket", {}).values()), a.dim)) == a.dim
 
 
 @functools.lru_cache(maxsize=None)

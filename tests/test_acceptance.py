@@ -8,19 +8,19 @@ import itertools
 import time
 from fractions import Fraction
 
-from variety_forge.catalog import (algebra, identity, one_op_variety,
-                                   presentation, variety)
-from variety_forge.engine import (consequences, depolarize_variety,
+from variety_forge.catalog import algebra, identity, presentation, variety
+from variety_forge.engine import (Variety, consequences, depolarize_variety,
                                   dim_multilinear, equivalent, get_context,
                                   is_consequence, row_to_element)
 from variety_forge.exprs import format_element, parse_expr
-from variety_forge.linalg import PolyDomain, RowBasis, nullspace, rank
+from variety_forge.linalg import PolyDomain, RowBasis, nullspace
 from variety_forge.operads import (compose, free_delta_p_basis, hilbert_series,
                                    koszul_dual, koszulness_witness)
 from variety_forge.terms import (Permutation, act, depolarize_expr,
                                  polarize_expr)
 
-from conftest import ONE_OP, TWO_OPS, random_element, seeded
+from conftest import (ONE_OP, TWO_OPS, bracket_is_perfect, random_element, row_basis,
+                      seeded)
 
 F = Fraction
 
@@ -150,23 +150,23 @@ def test_criterion_10_equivalence_suite():
     cases = [
         ("one-multiplication form of the linkage family",
          depolarize_variety(variety("delta-poisson", delta=q)),
-         one_op_variety(["f-delta"], delta=q)),
+         Variety(ONE_OP, (identity("f-delta"),), delta=q)),
         ("scalar family", depolarize_variety(variety("scalar-poisson")),
-         one_op_variety(["sc1", "sc2"])),
+         Variety(ONE_OP, (identity("sc1"), identity("sc2")))),
         ("transposed family", depolarize_variety(
             variety("transposed-delta-poisson", delta=q)),
-         one_op_variety(["F-delta", "G-delta"], delta=q)),
+         Variety(ONE_OP, (identity("F-delta"), identity("G-delta")), delta=q)),
         ("transposed at 1", depolarize_variety(
             variety("transposed-delta-poisson", delta=F(1))),
-         one_op_variety(["F1", "G1", "H"], delta=F(1))),
+         Variety(ONE_OP, (identity("F1"), identity("G1"), identity("H")), delta=F(1))),
         ("transposed scalar family", depolarize_variety(
             variety("transposed-scalar-poisson")),
-         one_op_variety(["S1", "S2"])),
+         Variety(ONE_OP, (identity("S1"), identity("S2")))),
         ("mixed family", depolarize_variety(variety("mixed-poisson")),
-         one_op_variety(["S2", "L"])),
+         Variety(ONE_OP, (identity("S2"), identity("L")))),
         ("mixed linkage family", depolarize_variety(
             variety("delta-mixed-poisson", delta=q)),
-         one_op_variety(["f-delta", "H"], delta=q)),
+         Variety(ONE_OP, (identity("f-delta"), identity("H")), delta=q)),
     ]
     for label, lhs, rhs in cases:
         t0 = time.time()
@@ -217,7 +217,7 @@ def test_criterion_12_example_algebra_suite():
     for name in ("A1", "A2"):
         a = algebra(name)
         assert a.check_variety(tm1).all_satisfied, name
-        assert a.bracket_is_perfect(), name
+        assert bracket_is_perfect(a), name
     pb = algebra("P-beta", beta=1)
     assert pb.check_variety(variety("delta-poisson", delta=F(1, 3))).all_satisfied
     assert pb.check_variety(variety("transposed-delta-poisson",
@@ -273,7 +273,7 @@ def test_criterion_14_property_suites():
                     if coeffs:
                         row[c] = coeffs
             rows.append(row)
-        assert rank(rows, ncols, PolyDomain) + \
+        assert row_basis(rows, ncols, PolyDomain).rank + \
             nullspace(rows, ncols, PolyDomain).rank == ncols
         cases += 1
     # polarize/depolarize round trips

@@ -11,12 +11,10 @@ from fractions import Fraction
 
 import pytest
 from variety_forge import engine, terms
-from variety_forge.catalog import (algebra, identity, one_op_variety, variety,
-                                   variety_names)
+from variety_forge.catalog import algebra, identity, variety, variety_names
 from variety_forge.engine import (ArityOverflowError, EngineError,
                                   MonomialContext, Variety, clear_cache,
-                                  consequences, dim_multilinear,
-                                  enumerate_monomials, equivalent,
+                                  consequences, dim_multilinear, equivalent,
                                   format_variety, get_context, is_consequence,
                                   parse_variety_text, row_to_element)
 from variety_forge.exprs import parse_expr
@@ -26,7 +24,7 @@ from variety_forge.terms import (BRACKET, DOT, NONE, Element, OpSymbol,
                                  Permutation, TermError, act, act_monomial,
                                  normalize_tree, substitute_tree)
 
-from conftest import OP_SETS, TWO_OPS, reference_monomials, with_identities
+from conftest import ONE_OP, OP_SETS, TWO_OPS, reference_monomials, with_identities
 from test_terms import double_factorial_count
 
 F = Fraction
@@ -102,7 +100,8 @@ def test_vanishing_products_generic_but_not_poisson():
 
 
 def test_scalar_poisson_identities_independent():
-    assert not equivalent(one_op_variety(["sc1"]), one_op_variety(["sc1", "sc2"]), 3)
+    sc1 = Variety(ONE_OP, (identity("sc1"),))
+    assert not equivalent(sc1, Variety(ONE_OP, (identity("sc1"), identity("sc2"))), 3)
 
 
 def test_identity_catalog_lookup():
@@ -120,7 +119,7 @@ def test_identity_catalog_lookup():
 
 def test_equivalence_requires_same_signature():
     with pytest.raises(EngineError):
-        equivalent(variety("delta-poisson", delta=1), one_op_variety(["sc1"]), 3)
+        equivalent(variety("delta-poisson", delta=1), Variety(ONE_OP, (identity("sc1"),)), 3)
 
 
 def test_equivalence_compares_d_only_where_both_sides_use_it():
@@ -702,6 +701,21 @@ def test_lift_tables_resolve_in_the_cached_next_level():
     assert new3 is not ctx3 and get_context(ops, 4) is not old4()
     assert all(table._target() is get_context(ops, 4) for table in new_lifts)
     assert _every_column(new_lifts, new3) == _reference_lift_tables(new3)
+
+
+def test_one_context_per_signature():
+    # the columns do not depend on the order the operations are declared in,
+    # so a variety declaring bracket before dot shares poisson's contexts
+    clear_cache()
+    reversed_first = get_context((BRACKET, DOT), 4).monomials
+    clear_cache()
+    assert get_context((DOT, BRACKET), 4).monomials == reversed_first
+    assert get_context((DOT, BRACKET), 4) is get_context((BRACKET, DOT), 4)
+    poisson = variety("poisson")
+    rev = Variety((BRACKET, DOT), poisson.identities, delta=poisson.delta, name="rev")
+    clear_cache()
+    assert equivalent(poisson, rev, 4)
+    assert len(engine._CONTEXTS) == 4
 
 
 def test_contexts_and_tables_die_with_the_cache():

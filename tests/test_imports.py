@@ -39,6 +39,14 @@ def test_imports_are_at_module_level():
     assert not offenders, offenders
 
 
+def test_algebras_imports_nothing_from_linalg():
+    # structure-constant evaluation needs no row reduction
+    path = pathlib.Path(variety_forge.__file__).parent / "algebras.py"
+    modules = {node.module for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)}
+    assert "linalg" not in modules, modules
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses pulls inspect, ast, dis and tokenize into every process
     package = pathlib.Path(variety_forge.__file__).parent

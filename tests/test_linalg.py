@@ -13,13 +13,14 @@ from hypothesis import given, strategies as st
 from variety_forge import scalar
 from variety_forge.catalog import variety
 from variety_forge.engine import consequences
-from variety_forge.linalg import (PolyDomain, RowBasis, ZZDomain, nullspace, rank,
+from variety_forge.linalg import (PolyDomain, RowBasis, ZZDomain, nullspace,
                                   sampled_delta_points, to_row)
 from variety_forge.scalar import (DELTA, PONE, RF_ZERO, DegreeOverflowError,
                                   RationalFunction, padd, pcontent, pdivexact, pgcd,
                                   pmul, pneg, pnormalize, pscale, psub)
 
-from conftest import dense_rref, random_rational, random_rational_function, seeded
+from conftest import (dense_rref, random_rational, random_rational_function, row_basis,
+                      seeded)
 
 F = Fraction
 d = DELTA
@@ -129,7 +130,7 @@ def test_insert_normalizes_trailing_zero_coefficients():
     padded, plain = RowBasis(2, PolyDomain), RowBasis(2, PolyDomain)
     assert padded.insert({0: (1, 0), 1: (1,)})
     assert plain.insert({0: (1,), 1: (1,)})
-    assert padded == plain
+    assert padded.canonical_rows() == plain.canonical_rows()
     assert padded.rows == {0: {0: (1,), 1: (1,)}}
 
 
@@ -343,7 +344,6 @@ def _check_against_reference(rng, ncols, poly):
         assert basis.field_rows() == ref
         bases.append(basis)
     assert len({b.canonical_rows() for b in bases}) == 1
-    assert all(b == bases[0] for b in bases)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -380,7 +380,8 @@ def test_reduced_form_invariants(seed, poly):
         before, snapshot = dict(row), copy.deepcopy(basis)
         rem = basis.reduce(row)
         assert not any(c in basis.rows or basis.unit[c] for c in rem)
-        in_span = rank([r for _, r in basis.items()] + [row], ncols, domain) == basis.rank
+        grown = row_basis([r for _, r in basis.items()] + [row], ncols, domain)
+        in_span = grown.rank == basis.rank
         assert (not rem) == in_span == basis.contains(row)
         assert row == before and basis.unit == snapshot.unit
         assert basis.rows == snapshot.rows and basis.occ == snapshot.occ
@@ -388,13 +389,13 @@ def test_reduced_form_invariants(seed, poly):
 
 
 def test_reference_matrix_ranks():
-    assert rank(DP_MIXED, 6, PolyDomain) == 3
+    assert row_basis(DP_MIXED, 6, PolyDomain).rank == 3
     # the six-row matrix has full mixed rank (a hand reduction gives e1, e2,
     # e3 from the row sums and an invertible 3x3 block on the rest)
-    assert rank(MP_MIXED, 6) == 6
+    assert row_basis(MP_MIXED, 6).rank == 6
     assert len(dense_rref(MP_MIXED, 6)) == 6
-    assert rank([], 3) == 0
-    assert rank([{0: 1}, {1: 1}, {2: 1}], 3) == 3
+    assert row_basis([], 3).rank == 0
+    assert row_basis([{0: 1}, {1: 1}, {2: 1}], 3).rank == 3
 
 
 def test_nullspace_examples():
@@ -427,7 +428,6 @@ def test_canonical_rows_are_span_invariants():
     b2.insert({0: 1, 2: -1})   # (1,1,0)-(0,1,1)
     b2.insert({1: 5, 2: 5})
     assert b1.canonical_rows() == b2.canonical_rows()
-    assert b1 == b2
 
 
 def _random_sparse_rows(rng, nrows, ncols, poly):
@@ -453,7 +453,7 @@ def test_rank_nullity_over_q(seed):
     rng = seeded(seed)
     ncols = rng.randint(2, 8)
     rows = _random_sparse_rows(rng, rng.randint(1, 6), ncols, poly=False)
-    rk = rank(rows, ncols)
+    rk = row_basis(rows, ncols).rank
     assert rk == len(dense_rref(rows, ncols))
     assert rk + nullspace(rows, ncols).rank == ncols
     # kernel vectors annihilate every row
@@ -467,7 +467,7 @@ def test_rank_nullity_over_qd(seed):
     rng = seeded(seed)
     ncols = rng.randint(2, 6)
     rows = _random_sparse_rows(rng, rng.randint(1, 5), ncols, poly=True)
-    rk = rank(rows, ncols, PolyDomain)
+    rk = row_basis(rows, ncols, PolyDomain).rank
     assert rk + nullspace(rows, ncols, PolyDomain).rank == ncols
 
 
@@ -476,13 +476,13 @@ def test_rank_invariance_under_scaling_and_permutation(seed):
     rng = seeded(seed)
     ncols = rng.randint(2, 7)
     rows = _random_sparse_rows(rng, rng.randint(1, 5), ncols, poly=False)
-    rk = rank(rows, ncols)
+    rk = row_basis(rows, ncols).rank
     scaled = []
     for r in rows:
         factor = rng.choice([1, 2, -3, 5])
         scaled.append({c: v * factor for c, v in r.items()})
     rng.shuffle(scaled)
-    assert rank(scaled, ncols) == rk
+    assert row_basis(scaled, ncols).rank == rk
 
 
 @given(st.integers(0, 10 ** 6))
@@ -492,7 +492,7 @@ def test_generic_vs_specialized_rank(seed):
     rng = seeded(seed)
     ncols = rng.randint(2, 6)
     rows = _random_sparse_rows(rng, rng.randint(1, 4), ncols, poly=True)
-    generic = rank(rows, ncols, PolyDomain)
+    generic = row_basis(rows, ncols, PolyDomain).rank
     attained = []
     for q in sampled_delta_points(5, seed=seed % 1000):
         rows_at_q = []
@@ -503,7 +503,7 @@ def test_generic_vs_specialized_rank(seed):
                 if val:
                     row[c] = val
             rows_at_q.append({c: int(v * _common_den(row)) for c, v in row.items()})
-        rk = rank(rows_at_q, ncols)
+        rk = row_basis(rows_at_q, ncols).rank
         assert rk <= generic
         attained.append(rk)
     assert max(attained, default=0) == generic

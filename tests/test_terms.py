@@ -7,7 +7,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from variety_forge.engine import EngineError, MonomialContext, enumerate_monomials
+from variety_forge.engine import MonomialContext, clear_cache, get_context
 from variety_forge.exprs import parse_expr
 from variety_forge.scalar import RF_ONE
 from variety_forge.terms import (BRACKET, DOT, OpSymbol,
@@ -68,27 +68,24 @@ def test_ops_table_rejects_a_repeated_name():
 
 
 def test_normalize_idempotent_on_canonical():
-    for mono in enumerate_monomials(4, TWO_OPS):
+    for mono in get_context(TWO_OPS, 4).monomials:
         sign, again = normalize(mono.tree, TWO_OPS)
         assert sign == 1 and again == mono
 
 
 def test_enumerate_counts():
-    assert len(enumerate_monomials(2, TWO_OPS)) == 2
-    assert len(enumerate_monomials(3, TWO_OPS)) == 12
-    assert len(enumerate_monomials(5, TWO_OPS)) == 1680 == double_factorial_count(5, 2)
-    assert len(enumerate_monomials(6, TWO_OPS)) == 30240 == double_factorial_count(6, 2)
-    assert len(enumerate_monomials(3, ONE_OP)) == 12  # ordered trees: 2 shapes x 3! labels
-    assert len(enumerate_monomials(2, ONE_OP)) == 2
+    assert len(get_context(TWO_OPS, 2).monomials) == 2
+    assert len(get_context(TWO_OPS, 3).monomials) == 12
+    assert len(get_context(TWO_OPS, 5).monomials) == 1680 == double_factorial_count(5, 2)
+    assert len(get_context(TWO_OPS, 6).monomials) == 30240 == double_factorial_count(6, 2)
+    assert len(get_context(ONE_OP, 3).monomials) == 12  # ordered trees: 2 shapes x 3! labels
+    assert len(get_context(ONE_OP, 2).monomials) == 2
     one_sym = (DOT,)
     for n in range(1, 6):
-        assert len(enumerate_monomials(n, one_sym)) == double_factorial_count(n, 1)
+        assert len(get_context(one_sym, n).monomials) == double_factorial_count(n, 1)
     three_sym = (DOT, BRACKET, OpSymbol("wedge", "antisymmetric"))
     for n in range(2, 5):
-        assert len(enumerate_monomials(n, three_sym)) == double_factorial_count(n, 3)
-    # arity 0 is rejected, not recursed into
-    with pytest.raises(EngineError):
-        enumerate_monomials(0, TWO_OPS)
+        assert len(get_context(three_sym, n).monomials) == double_factorial_count(n, 3)
 
 
 def test_enumerate_matches_bruteforce_normalization():
@@ -109,7 +106,8 @@ def test_enumerate_matches_bruteforce_normalization():
         for tree in ordered_trees(list(perm)):
             _, mono = normalize(tree, TWO_OPS)
             seen.add(mono)
-    assert seen == set(enumerate_monomials(3, TWO_OPS)) == set(reference_monomials(3, TWO_OPS))
+    monos = get_context(TWO_OPS, 3).monomials
+    assert seen == set(monos) == set(reference_monomials(3, TWO_OPS))
 
 
 def _ordered_trees(leaves, names):
@@ -141,7 +139,7 @@ def test_coded_enumeration(name):
         for perm in itertools.permutations(range(1, n + 1)):
             for tree in _ordered_trees(list(perm), names):
                 seen.add(normalize(tree, ops)[1])
-        for monos in (enumerate_monomials(n, ops), reference_monomials(n, ops)):
+        for monos in (get_context(ops, n).monomials, reference_monomials(n, ops)):
             assert monos == sorted(seen)
             assert [m.key for m in monos] == sorted(m.key for m in monos)
     # an arity-6 context records the subtrees over 1..k of each kind, the
@@ -169,9 +167,10 @@ def test_coded_enumeration(name):
 
 
 def test_enumerate_order_is_deterministic():
-    monos = enumerate_monomials(3, TWO_OPS)
-    again = enumerate_monomials(3, TWO_OPS)
-    assert monos == again
+    monos = get_context(TWO_OPS, 3).monomials
+    clear_cache()
+    again = get_context(TWO_OPS, 3).monomials
+    assert again is not monos and monos == again
     assert [m.key for m in monos] == sorted(m.key for m in monos)
 
 
