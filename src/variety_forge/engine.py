@@ -7,10 +7,10 @@ whole monomial by the fresh variable), and each arity level is closed under
 variable relabelings.  Closure over all of S_n is realised by saturating the
 row span under the two group generators (1 2) and (1 2 ... n), which spans the
 same space as inserting every one of the n! images.  A (1 2) image is not
-tried where the span provably holds it already: for a lift row at n >= 3,
-and for a row that was itself accepted as a (1 2) image (see
-``_build_basis``).  Level n is lifted from the cached level n-1, so each
-level is built once per process.
+tried where the final span provably holds it: for a row derived from a lift
+at n >= 3, by the cosets of S_{n-1} in S_n, and for a row that was itself
+accepted as a (1 2) image (see ``_build_basis``).  Level n is lifted from
+the cached level n-1, so each level is built once per process.
 
 Most of a consequence space is whole association types: the monomials of one
 shape and op-word, which form one S_n orbit and one contiguous column range.
@@ -492,6 +492,8 @@ def get_context(ops, n) -> MonomialContext:
     key = (tuple(sorted((op.name, op.symmetry) for op in ops)), n)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
+        if n < 1:
+            raise EngineError("arity must be positive")
         ctx = _CONTEXTS[key] = MonomialContext(ops, n)
     return ctx
 
@@ -651,19 +653,31 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
 
     Level n-1 comes from ``consequences``, so each level is built once per
     process.  The identity rows go in first, then the lift rows; every
-    accepted row then pushes its images under the generators (1 2) and
-    (1 2 ... n) onto a heap, except a (1 2) image that the span provably
-    holds already:
+    accepted row then pushes some of its images under the generators
+    s = (1 2) and c = (1 2 ... n) onto a heap.  Which ones, and the kind
+    each image inherits, depends on the row's kind:
 
-    - a lift row x at n >= 3: the lifts span W = L(V_{n-1}), and (1 2) lies
-      in S_{n-1}, which maps V_{n-1} to itself, fixes the lift by the fresh
-      variable and permutes the substitution lifts (sigma L_i = L_sigma(i)
-      sigma); so (1 2)x lies in W, all of whose rows went in before the
-      closure started;
-    - a row accepted as (1 2)y: its (1 2) image is y.
+    - identity: a row of an arity-n identity, or the c image of an identity
+      row, pushes its s image (of kind swapped) and its c image (identity);
+    - swapped: a row accepted as the s image sy of an identity row pushes
+      only its c image (identity), since its s image is y;
+    - lift: a lift row, or any image of a lift row, pushes only its c image
+      (lift).
 
-    Such an insert would be rejected, and a rejected insert leaves the basis
-    as it was, so the skips change no basis state, only the work done.
+    The lift kind is exact by the cosets of S_{n-1}.  Lifts commute with
+    S_{n-1} up to relabelling the lift (sigma L_i = L_sigma(i) sigma), so
+    the lift span W = L(V_{n-1}) is S_{n-1}-invariant, and so is each
+    killed type.  Every accepted row pushes its c image, and c maps each
+    killed type to itself, so the final span U is c-invariant and holds
+    every c^k W.  S_n is the disjoint union of the cosets c^k S_{n-1},
+    k = 0..n-1, so S_n W is the sum of the c^k W, and U holds it.  A
+    lift-kind row is c^k w with w in W, so its s image (s c^k) w lies in
+    S_n W.  U thus holds the s and c images of every accepted row of each
+    kind, and is S_n-invariant.  At n = 2, c is s and only the s table
+    exists, so a lift row there is of the identity kind.  A skipped image
+    lies in the final span but not always in the span of its time, so the
+    skips change the work done and its order, not the span or the
+    canonical rows.
 
     Candidates go in largest leading column first: the identity rows and
     the lift rows each sorted that way, then always the pending image with
@@ -718,18 +732,24 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             return False
         return True
 
+    # s = (1 2) from n = 2, c = (1 2 ... n) from n = 3; per kind of row, the
+    # tables of the images it pushes and the kinds those images get
     tables = ctx.perm_generator_tables()
+    swap, cycle = tables[:1], tables[1:]
+    IDENTITY, SWAPPED, LIFT = range(3)
+    pushes = ([(t, SWAPPED) for t in swap] + [(t, IDENTITY) for t in cycle],
+              [(t, IDENTITY) for t in cycle],
+              [(t, LIFT) for t in cycle])
     # pending images, largest leading column first; ties in push order
     heap, order = [], itertools.count()
 
-    def push(row, swap_new):
-        """Queue row's images; swap_new: whether its (1 2) image may be new."""
-        for k, table in enumerate(tables):
-            if k == 0 and not swap_new:
-                continue
+    def push(row, kind):
+        """Queue the images of an accepted row of kind IDENTITY, SWAPPED or
+        LIFT: those under the tables that ``pushes[kind]`` names."""
+        for table, image_kind in pushes[kind]:
             img = apply_index_map(row, table, neg, killed)
             if img:
-                heapq.heappush(heap, (-min(img), next(order), img, k != 0))
+                heapq.heappush(heap, (-min(img), next(order), img, image_kind))
 
     def largest_lead_first(rows):
         return sorted((r for r in rows if r), key=min, reverse=True)
@@ -737,7 +757,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     for row in largest_lead_first([element_to_row(e, ctx, v.delta, domain)
                                    for e in v.identities if e.arity == n]):
         if place(row):
-            push(row, True)
+            push(row, IDENTITY)
     if any(e.arity < n for e in v.identities):
         prev = consequences(v, n - 1)
         prev_ctx = get_context(v.ops, n - 1)
@@ -751,11 +771,11 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
                                        for table in lifts
                                        for row in prev.basis.rows.values()]):
             if place(img):
-                push(img, n < 3)
+                push(img, LIFT if n >= 3 else IDENTITY)
     while heap:
-        _, _, img, swap_new = heapq.heappop(heap)
+        _, _, img, kind = heapq.heappop(heap)
         if place(img):
-            push(img, swap_new)
+            push(img, kind)
     return basis
 
 

@@ -545,6 +545,43 @@ def test_closure_matches_the_span_of_all_permutations(name):
         assert consequences(v, n).basis.canonical_rows() == ref.canonical_rows(), n
 
 
+_INVARIANCE_CASES = ([(name, n) for name in variety_names() for n in range(2, 6)]
+                     + [("anti-poisson", 6), ("mixed-poisson", 6)])
+
+
+@pytest.mark.parametrize("name,n", _INVARIANCE_CASES)
+def test_every_stored_row_is_closed_under_both_generators(name, n):
+    # whatever images the closure pushes, the span it ends with holds the
+    # (1 2) and (1 2 ... n) images of each of its rows
+    v = variety(name)
+    basis = consequences(v, n).basis
+    for table in get_context(v.ops, n).perm_generator_tables():
+        for row in basis.rows.values():
+            assert basis.contains(engine.apply_index_map(row, table, basis.domain.neg))
+
+
+@pytest.mark.parametrize("name,identity_arities", [
+    ("anti-poisson", {3}), ("jordan-bracket", {3, 4})])
+def test_only_identity_rows_push_their_swap_images(name, identity_arities, monkeypatch):
+    # a lift row and its images push only their n-cycle images, so the (1 2)
+    # table is used at an arity n only if v has identities of arity n
+    v = variety(name)
+    clear_cache()
+    used = []
+    original = engine.apply_index_map
+
+    def recording(row, table, neg, killed=()):
+        used.append(table)
+        return original(row, table, neg, killed)
+
+    monkeypatch.setattr(engine, "apply_index_map", recording)
+    consequences(v, 5)
+    for n in range(3, 6):
+        swap, cycle = get_context(v.ops, n).perm_generator_tables()
+        assert any(t is swap for t in used) == (n in identity_arities), n
+        assert any(t is cycle for t in used), n
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_arity_two_identity_levels_and_the_level_cache(sign, monkeypatch):
     # m anticommutative (+) or commutative (-): (2n-3)!! monomials survive,
@@ -701,6 +738,12 @@ def test_lift_tables_resolve_in_the_cached_next_level():
     assert new3 is not ctx3 and get_context(ops, 4) is not old4()
     assert all(table._target() is get_context(ops, 4) for table in new_lifts)
     assert _every_column(new_lifts, new3) == _reference_lift_tables(new3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_context_needs_a_positive_arity(n):
+    with pytest.raises(EngineError, match="arity must be positive"):
+        get_context(TWO_OPS, n)
 
 
 def test_one_context_per_signature():
