@@ -53,8 +53,9 @@ from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element
 # arity 7 is not promised in either mode.  Its context is a counted type
 # list (under 0.01 s), and cold AP(7) and MP(7) builds take 3-4.6 s and
 # 1.3-1.8 s at 109 and 71 MB peak RSS, but a variety whose span holds no
-# unit rows (poisson, jordan-bracket) already takes 5-8 s and 130-150 MB at
-# arity 6, and generic TDP(6) 10-13 s
+# unit rows (poisson, jordan-bracket) already takes 2.9-4.2 s and
+# 117-136 MB at arity 6, and generic TDP(6) 8.9 s (cold builds of levels
+# 1..6, median of three fresh processes, 2 cores, Python 3.11)
 MAX_ARITY = 6
 
 
@@ -652,10 +653,10 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     """Closure of v's arity-n identities and of the lifts of level n-1.
 
     Level n-1 comes from ``consequences``, so each level is built once per
-    process.  The identity rows go in first, then the lift rows; every
-    accepted row then pushes some of its images under the generators
-    s = (1 2) and c = (1 2 ... n) onto a heap.  Which ones, and the kind
-    each image inherits, depends on the row's kind:
+    process.  The identity rows and the lift rows are queued on one heap,
+    and every accepted row pushes some of its images under the generators
+    s = (1 2) and c = (1 2 ... n) onto the same heap.  Which ones, and the
+    kind each image inherits, depends on the row's kind:
 
     - identity: a row of an arity-n identity, or the c image of an identity
       row, pushes its s image (of kind swapped) and its c image (identity);
@@ -679,14 +680,14 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     skips change the work done and its order, not the span or the
     canonical rows.
 
-    Candidates go in largest leading column first: the identity rows and
-    the lift rows each sorted that way, then always the pending image with
-    the largest leading column.  A stored row with pivot P holds no column
+    Candidates go in largest leading column first: the closure always
+    inserts the queued row with the largest leading column, whatever its
+    kind, ties in queue order.  A stored row with pivot P holds no column
     below P, so a new row whose pivot lies below every stored pivot is
     back-substituted into none of them; this order keeps most new pivots
     there, which saves eliminations and, over Z[d], keeps the degrees of
-    the stored rows low.  The span, and so the canonical rows, do not depend
-    on the order.
+    the stored rows low.  The span, and so the canonical rows, do not
+    depend on the order.
 
     Unit rows are placed a whole association type at a time.  The span is
     S_n-invariant and a type is one S_n orbit of columns (see
@@ -740,24 +741,17 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     pushes = ([(t, SWAPPED) for t in swap] + [(t, IDENTITY) for t in cycle],
               [(t, IDENTITY) for t in cycle],
               [(t, LIFT) for t in cycle])
-    # pending images, largest leading column first; ties in push order
+    # every candidate of the level, largest leading column first; ties in
+    # queue order
     heap, order = [], itertools.count()
 
-    def push(row, kind):
-        """Queue the images of an accepted row of kind IDENTITY, SWAPPED or
-        LIFT: those under the tables that ``pushes[kind]`` names."""
-        for table, image_kind in pushes[kind]:
-            img = apply_index_map(row, table, neg, killed)
-            if img:
-                heapq.heappush(heap, (-min(img), next(order), img, image_kind))
+    def queue(row, kind):
+        if row:
+            heapq.heappush(heap, (-min(row), next(order), row, kind))
 
-    def largest_lead_first(rows):
-        return sorted((r for r in rows if r), key=min, reverse=True)
-
-    for row in largest_lead_first([element_to_row(e, ctx, v.delta, domain)
-                                   for e in v.identities if e.arity == n]):
-        if place(row):
-            push(row, IDENTITY)
+    for e in v.identities:
+        if e.arity == n:
+            queue(element_to_row(e, ctx, v.delta, domain), IDENTITY)
     if any(e.arity < n for e in v.identities):
         prev = consequences(v, n - 1)
         prev_ctx = get_context(v.ops, n - 1)
@@ -767,15 +761,15 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             if prev_unit[start]:
                 for table in lifts:
                     kill(table.type_of(start))
-        for img in largest_lead_first([apply_index_map(row, table, neg, killed)
-                                       for table in lifts
-                                       for row in prev.basis.rows.values()]):
-            if place(img):
-                push(img, LIFT if n >= 3 else IDENTITY)
+        lift = LIFT if n >= 3 else IDENTITY
+        for table in lifts:
+            for row in prev.basis.rows.values():
+                queue(apply_index_map(row, table, neg, killed), lift)
     while heap:
-        _, _, img, kind = heapq.heappop(heap)
-        if place(img):
-            push(img, kind)
+        _, _, row, kind = heapq.heappop(heap)
+        if place(row):
+            for table, image_kind in pushes[kind]:
+                queue(apply_index_map(row, table, neg, killed), image_kind)
     return basis
 
 
