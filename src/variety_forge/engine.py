@@ -4,13 +4,13 @@ The degree-n component of the T-ideal generated by multilinear identities is
 built arity by arity: every identity of arity m is lifted to arity m+1 by the
 two elementary steps (substitute x_i <- op(x_i, x_{m+1}), and multiply the
 whole monomial by the fresh variable), and each arity level is closed under
-variable relabelings.  Closure over all of S_n is realised by saturating the
-row span under the two group generators (1 2) and (1 2 ... n), which spans the
-same space as inserting every one of the n! images.  A (1 2) image is not
-tried where the final span provably holds it: for a row derived from a lift
-at n >= 3, by the cosets of S_{n-1} in S_n, and for a row that was itself
-accepted as a (1 2) image (see ``_build_basis``).  Level n is lifted from
-the cached level n-1, so each level is built once per process.
+variable relabelings.  One rule realises the closure over all of S_n: the
+seed rows of level n, the images of its identities under the permutations
+that fix n and the lifts of level n-1, span an S_{n-1}-invariant space, and
+the level is saturated under the n-cycle (1 2 ... n) alone.  By the cosets
+of S_{n-1} in S_n that spans the same space as inserting every one of the
+n! images (see ``_build_basis``).  Level n is lifted from the cached level
+n-1, so each level is built once per process.
 
 Most of a consequence space is whole association types: the monomials of one
 shape and op-word, which form one S_n orbit and one contiguous column range.
@@ -48,7 +48,7 @@ from .exprs import format_element, parse_expr, read_directives
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element,
-                    Monomial, Permutation, TermError, depolarize_expr, ops_table)
+                    Monomial, Permutation, TermError, act, depolarize_expr, ops_table)
 
 # arity 7 is not promised in either mode.  Its context is a counted type
 # list (under 0.01 s), and cold AP(7) and MP(7) builds take 3-4.6 s and
@@ -334,17 +334,14 @@ class MonomialContext:
         return ~i if neg else i
 
     def perm_generator_tables(self):
-        """Index maps for the S_n generators (1 2) and (1 2 ... n)."""
+        """Index maps for the n-cycle (1 2 ... n), the one permutation the
+        closure in ``_build_basis`` applies: one table from n = 2, where it
+        is (2 1), and none at n = 1."""
         if self._perm_tables is None:
-            gens = []
-            if self.n >= 2:
-                gens.append(Permutation.transposition(self.n, 1, 2))
-            if self.n >= 3:
-                gens.append(Permutation.cycle(self.n))
             self._perm_tables = [
                 _IndexMap(self, self, _NodeImages(
-                    self, self, {i: self._leaf(s(i)) for i in range(1, self.n + 1)}))
-                for s in gens]
+                    self, self, {i: self._leaf(c(i)) for i in range(1, self.n + 1)}))
+                for c in ([Permutation.cycle(self.n)] if self.n >= 2 else [])]
         return self._perm_tables
 
     def lift_tables(self):
@@ -653,53 +650,42 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     """Closure of v's arity-n identities and of the lifts of level n-1.
 
     Level n-1 comes from ``consequences``, so each level is built once per
-    process.  The identity rows and the lift rows are queued on one heap,
-    and every accepted row pushes some of its images under the generators
-    s = (1 2) and c = (1 2 ... n) onto the same heap.  Which ones, and the
-    kind each image inherits, depends on the row's kind:
+    process.  The seed rows are queued on one heap: the images of each
+    arity-n identity under the (n-1)! permutations that fix n, and the lift
+    rows.  Every accepted row pushes one image onto the same heap, its image
+    under c = (1 2 ... n).
 
-    - identity: a row of an arity-n identity, or the c image of an identity
-      row, pushes its s image (of kind swapped) and its c image (identity);
-    - swapped: a row accepted as the s image sy of an identity row pushes
-      only its c image (identity), since its s image is y;
-    - lift: a lift row, or any image of a lift row, pushes only its c image
-      (lift).
-
-    The lift kind is exact by the cosets of S_{n-1}.  Lifts commute with
-    S_{n-1} up to relabelling the lift (sigma L_i = L_sigma(i) sigma), so
-    the lift span W = L(V_{n-1}) is S_{n-1}-invariant, and so is each
-    killed type.  Every accepted row pushes its c image, and c maps each
-    killed type to itself, so the final span U is c-invariant and holds
-    every c^k W.  S_n is the disjoint union of the cosets c^k S_{n-1},
-    k = 0..n-1, so S_n W is the sum of the c^k W, and U holds it.  A
-    lift-kind row is c^k w with w in W, so its s image (s c^k) w lies in
-    S_n W.  U thus holds the s and c images of every accepted row of each
-    kind, and is S_n-invariant.  At n = 2, c is s and only the s table
-    exists, so a lift row there is of the identity kind.  A skipped image
-    lies in the final span but not always in the span of its time, so the
-    skips change the work done and its order, not the span or the
-    canonical rows.
+    That is exact by the cosets of S_{n-1}.  The identity images are whole
+    S_{n-1} orbits, and lifts commute with S_{n-1} up to relabelling the
+    lift (sigma L_i = L_sigma(i) sigma), so the lift span L(V_{n-1}) is
+    S_{n-1}-invariant too: the seed span W is, and so is each killed type.
+    Every accepted row pushes its c image, and c maps each killed type to
+    itself, so the final span U is c-invariant and holds every c^k W.  S_n
+    is the disjoint union of the cosets c^k S_{n-1}, k = 0..n-1, so S_n W
+    is the sum of the c^k W, and U, which lies in S_n W, is S_n W.  At
+    n = 2, c is (2 1) and S_1 is trivial.  A pushed image lies in the final
+    span but not always in the span of its time, so the push rule changes
+    the work done and its order, not the span or the canonical rows.
 
     Candidates go in largest leading column first: the closure always
-    inserts the queued row with the largest leading column, whatever its
-    kind, ties in queue order.  A stored row with pivot P holds no column
-    below P, so a new row whose pivot lies below every stored pivot is
-    back-substituted into none of them; this order keeps most new pivots
-    there, which saves eliminations and, over Z[d], keeps the degrees of
-    the stored rows low.  The span, and so the canonical rows, do not
-    depend on the order.
+    inserts the queued row with the largest leading column, ties in queue
+    order.  A stored row with pivot P holds no column below P, so a new row
+    whose pivot lies below every stored pivot is back-substituted into none
+    of them; this order keeps most new pivots there, which saves
+    eliminations and, over Z[d], keeps the degrees of the stored rows low.
+    The span, and so the canonical rows, do not depend on the order.
 
     Unit rows are placed a whole association type at a time.  The span is
     S_n-invariant and a type is one S_n orbit of columns (see
     ``MonomialContext.type_blocks``), so once e_c lies in the span, the unit
     rows of every column of c's type do too.  An accepted insert that leaves
-    a unit row kills its type: the type's unit rows go in, and no image of
-    it is pushed, because its images lie in the type.  The unit rows of
-    level n-1 are whole types as well.  Of each such type one column is
-    lifted through every lift table, and the type each image lands in is
-    killed; by sigma L_i = L_sigma(i) sigma the lifts of the other columns
-    land in the same types.  The other rows of level n-1 are lifted one by
-    one.
+    a unit row kills its type: the type's unit rows go in, and its c image
+    is not pushed, because it lies in the type.  The unit rows of level n-1
+    are whole types as well (``ConsequenceSpace.unit_types``).  Of each such
+    type one column is lifted through every lift table, and the type each
+    image lands in is killed; by sigma L_i = L_sigma(i) sigma the lifts of
+    the other columns land in the same types.  The other rows of level n-1
+    are lifted one by one.
 
     Every candidate drops its entries in killed types (``apply_index_map``).
     The unit rows there would eliminate exactly those entries, so each
@@ -724,7 +710,7 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             basis.insert_unit_range(blocks[t].start, blocks[t].stop)
 
     def place(row):
-        """Insert row; True iff it was accepted and its images are to be pushed."""
+        """Insert row; True iff it was accepted and its c image is to be pushed."""
         if not basis.insert(row):
             return False
         p = basis.last_pivot
@@ -733,43 +719,34 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
             return False
         return True
 
-    # s = (1 2) from n = 2, c = (1 2 ... n) from n = 3; per kind of row, the
-    # tables of the images it pushes and the kinds those images get
-    tables = ctx.perm_generator_tables()
-    swap, cycle = tables[:1], tables[1:]
-    IDENTITY, SWAPPED, LIFT = range(3)
-    pushes = ([(t, SWAPPED) for t in swap] + [(t, IDENTITY) for t in cycle],
-              [(t, IDENTITY) for t in cycle],
-              [(t, LIFT) for t in cycle])
+    cycle = ctx.perm_generator_tables()  # [c], or [] at n = 1
     # every candidate of the level, largest leading column first; ties in
     # queue order
     heap, order = [], itertools.count()
 
-    def queue(row, kind):
+    def queue(row):
         if row:
-            heapq.heappush(heap, (-min(row), next(order), row, kind))
+            heapq.heappush(heap, (-min(row), next(order), row))
 
     for e in v.identities:
         if e.arity == n:
-            queue(element_to_row(e, ctx, v.delta, domain), IDENTITY)
+            for p in itertools.permutations(range(1, n)):
+                image = act(Permutation(p + (n,)), e, v.ops)
+                queue(element_to_row(image, ctx, v.delta, domain))
     if any(e.arity < n for e in v.identities):
         prev = consequences(v, n - 1)
-        prev_ctx = get_context(v.ops, n - 1)
-        lifts = prev_ctx.lift_tables()
-        prev_unit = prev.basis.unit
-        for start in prev_ctx.offsets[:-1]:
-            if prev_unit[start]:
-                for table in lifts:
-                    kill(table.type_of(start))
-        lift = LIFT if n >= 3 else IDENTITY
+        lifts = prev.context.lift_tables()
+        for t in sorted(prev.unit_types()):
+            for table in lifts:
+                kill(table.type_of(prev.context.offsets[t]))
         for table in lifts:
             for row in prev.basis.rows.values():
-                queue(apply_index_map(row, table, neg, killed), lift)
+                queue(apply_index_map(row, table, neg, killed))
     while heap:
-        _, _, row, kind = heapq.heappop(heap)
+        row = heapq.heappop(heap)[2]
         if place(row):
-            for table, image_kind in pushes[kind]:
-                queue(apply_index_map(row, table, neg, killed), image_kind)
+            for table in cycle:
+                queue(apply_index_map(row, table, neg, killed))
     return basis
 
 

@@ -310,12 +310,6 @@ class Permutation:
         self.image = image
 
     @staticmethod
-    def transposition(n, i, j):
-        img = list(range(1, n + 1))
-        img[i - 1], img[j - 1] = j, i
-        return Permutation(img)
-
-    @staticmethod
     def cycle(n):
         """The n-cycle (1 2 ... n)."""
         return Permutation(list(range(2, n + 1)) + [1]) if n > 1 else Permutation((1,))

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, determinism, file round trips."""
 
 import argparse
+import itertools
 
 import pytest
 
@@ -347,6 +348,34 @@ def test_exit_codes(capsys, tmp_path):
         code, out, err = run(capsys, "dim", str(path), "--arity", "3", "--no-timing")
         assert code == 2 and out == "", text
         assert err.startswith("error: line %d: " % lineno) and "Traceback" not in err, err
+
+
+def test_input_errors_name_their_cause(capsys, tmp_path):
+    # each is exit 2 with one error line, not a traceback
+    bad_alg = tmp_path / "bad.alg"
+    bad_alg.write_text("dim 2\ndot e1 e1 = 2*f2\n")  # f2 is no basis vector
+    whole = tmp_path / "whole.var"
+    whole.write_text("op dot symmetric\nop bracket antisymmetric\n" + "".join(
+        "identity: %s(%s(x1,x2),x3)\n" % pair
+        for pair in itertools.product(("dot", "bracket"), repeat=2)))
+    # a pole at each sample point 51/13, 7/5 and 64/7
+    poles = tmp_path / "poles.var"
+    poles.write_text("op dot symmetric\nparam delta\nidentity: "
+                     "1/((13*d-51)*(5*d-7)*(7*d-64))*dot(dot(x1,x2),x3)"
+                     " - dot(x1,dot(x2,x3))\n")
+    for argv, message in (
+            (("check", "no-such-algebra", "assoc"),
+             "no such file or catalog algebra: 'no-such-algebra'"),
+            (("check", str(bad_alg), "assoc"),
+             "line 2: cannot parse product 'dot e1 e1 = 2*f2'"),
+            (("consequence", "poisson", "--target", "dot(x1,x2) ? x3"),
+             "unexpected character '?' (at position 11)"),
+            (("dual", str(whole)), "relations span the whole arity-3 space"),
+            (("dim", str(poles), "--arity", "3", "--mode", "sampled"),
+             "every sampled specialization of d hit a pole")):
+        assert run(capsys, *argv, "--no-timing") == (2, "", "error: %s\n" % message), argv
+    # exact mode has no sample points
+    assert run(capsys, "dim", str(poles), "--arity", "3", "--no-timing") == (0, "dim=0\n", "")
 
 
 def test_out_of_memory_is_a_resource_abort(capsys, monkeypatch):

@@ -434,11 +434,11 @@ def test_type_blocks_are_contiguous_orbits():
         assert len(types) == count
         assert sum(len(b) for b in types) == len(ctx.monomials) == ctx.ncols
         assert [b.start for b in types] == [0] + [b.stop for b in types[:-1]]
-        tables = ctx.perm_generator_tables()
+        tables = [_reference_swap(ctx)] + _reference_perm_tables(ctx)
         for block in types:
             key = ctx.monomials[block.start].key[:2]
             assert all(ctx.monomials[c].key[:2] == key for c in block)
-            # closed under both generators, and one orbit: reached from its start
+            # closed under (1 2) and (1 2 ... n), and one orbit: reached from its start
             seen, todo = {block.start}, [block.start]
             while todo:
                 c = todo.pop()
@@ -554,21 +554,21 @@ _INVARIANCE_CASES = ([(name, n) for name in variety_names() for n in range(2, 6)
 
 @pytest.mark.parametrize("name,n", _INVARIANCE_CASES)
 def test_every_stored_row_is_closed_under_both_generators(name, n):
-    # whatever images the closure pushes, the span it ends with holds the
-    # (1 2) and (1 2 ... n) images of each of its rows
+    # the closure pushes (1 2 ... n) images only, and the span it ends with
+    # holds the (1 2) and (1 2 ... n) images of each of its rows
     v = variety(name)
     basis = consequences(v, n).basis
-    for table in get_context(v.ops, n).perm_generator_tables():
+    ctx = get_context(v.ops, n)
+    for table in [_reference_swap(ctx)] + ctx.perm_generator_tables():
         for row in basis.rows.values():
             assert basis.contains(engine.apply_index_map(row, table, basis.domain.neg))
 
 
-@pytest.mark.parametrize("name,identity_arities", [
-    ("anti-poisson", {3}), ("jordan-bracket", {3, 4})])
-def test_only_identity_rows_push_their_swap_images(name, identity_arities, monkeypatch):
-    # a lift row and its images push only their n-cycle images, so the (1 2)
-    # table is used at an arity n only if v has identities of arity n
-    v = variety(name)
+def test_every_image_is_an_n_cycle_image(monkeypatch):
+    # jordan-bracket has identities of arity 3 and 4, so level 4 seeds
+    # identity images beside lift rows: at every level, whatever seed a row
+    # came from, the one permutation table the closure applies is (1 2 ... n)
+    v = variety("jordan-bracket")
     clear_cache()
     used = []
     original = engine.apply_index_map
@@ -579,10 +579,35 @@ def test_only_identity_rows_push_their_swap_images(name, identity_arities, monke
 
     monkeypatch.setattr(engine, "apply_index_map", recording)
     consequences(v, 5)
-    for n in range(3, 6):
-        swap, cycle = get_context(v.ops, n).perm_generator_tables()
-        assert any(t is swap for t in used) == (n in identity_arities), n
-        assert any(t is cycle for t in used), n
+    levels = {}
+    for table in used:
+        if table._source() is table._target():  # a lift maps into the next level
+            levels.setdefault(table._source().n, {})[id(table)] = table
+    assert sorted(levels) == [3, 4, 5]
+    for n, tables in levels.items():
+        ctx = get_context(v.ops, n)
+        assert list(tables) == [id(t) for t in ctx.perm_generator_tables()], n
+        assert _every_column(tables.values(), ctx) == _reference_perm_tables(ctx), n
+
+
+def test_an_arity_five_identity_spans_its_whole_orbit():
+    # no catalog identity has arity 5: at its own arity the closure seeds
+    # the S_4 orbit of the identity and saturates it under (1 2 3 4 5)
+    v = parse_variety_text(
+        "op dot symmetric\nop bracket antisymmetric\nidentity: "
+        "dot(x1,bracket(x2,bracket(x3,bracket(x4,x5))))"
+        " - dot(x2,bracket(x1,bracket(x3,bracket(x4,x5))))"
+        " + 2*bracket(dot(x1,x2),bracket(x3,dot(x4,x5)))\n")
+    (e,) = v.identities
+    clear_cache()
+    ctx = get_context(v.ops, 5)
+    reference = RowBasis(ctx.ncols, v.domain)
+    for img in itertools.permutations(range(1, 6)):
+        reference.insert(engine.element_to_row(act(Permutation(img), e, v.ops),
+                                               ctx, v.delta, v.domain))
+    space = consequences(v, 5)
+    assert space.rank == reference.rank == 60
+    assert space.basis.canonical_rows() == reference.canonical_rows()
 
 
 def test_new_pivots_rarely_land_above_stored_ones(monkeypatch):
@@ -656,12 +681,13 @@ def _reference_table(sigma, ctx):
 
 
 def _reference_perm_tables(ctx):
-    gens = []
-    if ctx.n >= 2:
-        gens.append(Permutation.transposition(ctx.n, 1, 2))
-    if ctx.n >= 3:
-        gens.append(Permutation.cycle(ctx.n))
-    return [_reference_table(sigma, ctx) for sigma in gens]
+    """The (1 2 ... n) map from n = 2, as ``perm_generator_tables`` builds it."""
+    return [_reference_table(Permutation.cycle(ctx.n), ctx)] if ctx.n >= 2 else []
+
+
+def _reference_swap(ctx):
+    """The (1 2) map, which the closure never applies."""
+    return _reference_table(Permutation((2, 1) + tuple(range(3, ctx.n + 1))), ctx)
 
 
 def _reference_lift_tables(ctx):

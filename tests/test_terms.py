@@ -175,7 +175,7 @@ def test_enumerate_order_is_deterministic():
 
 
 def test_act_examples():
-    swap = Permutation.transposition(2, 1, 2)
+    swap = Permutation((2, 1))
     br = parse_expr("bracket(x1,x2)", TWO_OPS)
     assert act(swap, br, TWO_OPS) == br.scale(-1)
     dot = parse_expr("dot(x1,x2)", TWO_OPS)
