@@ -10,7 +10,8 @@ that fix n and the lifts of level n-1, span an S_{n-1}-invariant space, and
 the level is saturated under the n-cycle (1 2 ... n) alone.  By the cosets
 of S_{n-1} in S_n that spans the same space as inserting every one of the
 n! images (see ``_build_basis``).  Level n is lifted from the cached level
-n-1, so each level is built once per process.
+n-1, so each level is built once per process.  Every relabelling and lift
+is an index map of a ``MonomialContext``, so a build renormalises no tree.
 
 Most of a consequence space is whole association types: the monomials of one
 shape and op-word, which form one S_n orbit and one contiguous column range.
@@ -48,7 +49,7 @@ from .exprs import format_element, parse_expr, read_directives
 from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
 from .scalar import RationalFunction, pdeg, peval
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element,
-                    Monomial, Permutation, TermError, act, depolarize_expr, ops_table)
+                    Monomial, TermError, depolarize_expr, ops_table)
 
 # arity 7 is not promised in either mode.  Its context is a counted type
 # list (under 0.01 s), and cold AP(7) and MP(7) builds take 3-4.6 s and
@@ -177,7 +178,7 @@ class MonomialContext:
         self._columns = [None] * len(types)        # per type: leaf-word -> column
         self.index = _ColumnIndex(self)
         self._monomials = None
-        self._perm_tables = None
+        self._perm_tables = {}                     # image tuple -> index map
         self._lift_tables = None
         self._lift_target = None
 
@@ -333,16 +334,21 @@ class MonomialContext:
                            keys[a][2] + keys[b][2])
         return ~i if neg else i
 
+    def perm_table(self, image):
+        """The index map of the permutation i -> image[i-1] of 1..n, n >= 2,
+        built once per image tuple from the images of the leaves."""
+        table = self._perm_tables.get(image)
+        if table is None:
+            table = self._perm_tables[image] = _IndexMap(self, self, _NodeImages(
+                self, self, {i: self._leaf(j) for i, j in enumerate(image, 1)}))
+        return table
+
     def perm_generator_tables(self):
-        """Index maps for the n-cycle (1 2 ... n), the one permutation the
-        closure in ``_build_basis`` applies: one table from n = 2, where it
-        is (2 1), and none at n = 1."""
-        if self._perm_tables is None:
-            self._perm_tables = [
-                _IndexMap(self, self, _NodeImages(
-                    self, self, {i: self._leaf(c(i)) for i in range(1, self.n + 1)}))
-                for c in ([Permutation.cycle(self.n)] if self.n >= 2 else [])]
-        return self._perm_tables
+        """The index map of the n-cycle (1 2 ... n), the one permutation an
+        accepted row pushes in ``_build_basis``: one table from n = 2, where
+        it is (2 1), and none at n = 1."""
+        n = self.n
+        return [self.perm_table(tuple(range(2, n + 1)) + (1,))] if n >= 2 else []
 
     def lift_tables(self):
         """Index maps arity n -> n+1 for all elementary consequence steps,
@@ -650,10 +656,10 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
     """Closure of v's arity-n identities and of the lifts of level n-1.
 
     Level n-1 comes from ``consequences``, so each level is built once per
-    process.  The seed rows are queued on one heap: the images of each
-    arity-n identity under the (n-1)! permutations that fix n, and the lift
-    rows.  Every accepted row pushes one image onto the same heap, its image
-    under c = (1 2 ... n).
+    process.  One heap queues the seed rows (the images of each arity-n
+    identity's row under the (n-1)! permutations that fix n, and the lift
+    rows) and, for each accepted row, its image under c = (1 2 ... n); every
+    image is a row mapped through a context index map (``apply_index_map``).
 
     That is exact by the cosets of S_{n-1}.  The identity images are whole
     S_{n-1} orbits, and lifts commute with S_{n-1} up to relabelling the
@@ -730,9 +736,10 @@ def _build_basis(v: Variety, n: int) -> RowBasis:
 
     for e in v.identities:
         if e.arity == n:
-            for p in itertools.permutations(range(1, n)):
-                image = act(Permutation(p + (n,)), e, v.ops)
-                queue(element_to_row(image, ctx, v.delta, domain))
+            row = element_to_row(e, ctx, v.delta, domain)
+            queue(row)  # the first permutation is the identity
+            for p in itertools.islice(itertools.permutations(range(1, n)), 1, None):
+                queue(apply_index_map(row, ctx.perm_table(p + (n,)), neg))
     if any(e.arity < n for e in v.identities):
         prev = consequences(v, n - 1)
         lifts = prev.context.lift_tables()

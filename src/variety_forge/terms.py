@@ -309,17 +309,8 @@ class Permutation:
             raise TermError("not a permutation of 1..n: %r" % (image,))
         self.image = image
 
-    @staticmethod
-    def cycle(n):
-        """The n-cycle (1 2 ... n)."""
-        return Permutation(list(range(2, n + 1)) + [1]) if n > 1 else Permutation((1,))
-
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        return Permutation(tuple(self.image[j - 1] for j in other.image))
 
     def sign(self) -> int:
         img = self.image

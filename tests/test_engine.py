@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import math
+import random
 import sys
 import weakref
 from fractions import Fraction
@@ -565,29 +566,61 @@ def test_every_stored_row_is_closed_under_both_generators(name, n):
 
 
 def test_every_image_is_an_n_cycle_image(monkeypatch):
-    # jordan-bracket has identities of arity 3 and 4, so level 4 seeds
+    # jordan-bracket has identities of arity 3 and 4, so levels 3 and 4 seed
     # identity images beside lift rows: at every level, whatever seed a row
-    # came from, the one permutation table the closure applies is (1 2 ... n)
+    # came from, the one permutation table an accepted row is pushed through
+    # is (1 2 ... n), and every other one is a perm_table(sigma) with
+    # sigma(n) = n, applied to the row of an arity-n identity
     v = variety("jordan-bracket")
     clear_cache()
     used = []
     original = engine.apply_index_map
 
     def recording(row, table, neg, killed=()):
-        used.append(table)
+        used.append((row, table))
         return original(row, table, neg, killed)
 
     monkeypatch.setattr(engine, "apply_index_map", recording)
     consequences(v, 5)
     levels = {}
-    for table in used:
+    for row, table in used:
         if table._source() is table._target():  # a lift maps into the next level
-            levels.setdefault(table._source().n, {})[id(table)] = table
+            levels.setdefault(table._source().n, []).append((row, table))
     assert sorted(levels) == [3, 4, 5]
-    for n, tables in levels.items():
+    for n, calls in levels.items():
         ctx = get_context(v.ops, n)
-        assert list(tables) == [id(t) for t in ctx.perm_generator_tables()], n
-        assert _every_column(tables.values(), ctx) == _reference_perm_tables(ctx), n
+        (cycle,) = ctx.perm_generator_tables()
+        sigma_of = {id(t): image for image, t in ctx._perm_tables.items()}
+        identity_rows = [engine.element_to_row(e, ctx, v.delta, v.domain)
+                         for e in v.identities if e.arity == n]
+        seeded = {}
+        for row, table in calls:
+            if table is not cycle:
+                sigma = sigma_of[id(table)]
+                assert sigma[-1] == n and row in identity_rows, (n, sigma)
+                seeded[sigma] = table
+        fixing_n = [p + (n,) for p in itertools.permutations(range(1, n))]
+        # the identity permutation queues the row itself
+        assert sorted(seeded) == (fixing_n[1:] if identity_rows else []), n
+        assert _every_column([cycle], ctx) == _reference_perm_tables(ctx), n
+        assert _every_column(seeded.values(), ctx) == [
+            _reference_table(Permutation(sigma), ctx) for sigma in seeded], n
+
+
+def test_a_cold_build_renormalises_no_tree(monkeypatch):
+    # identity images, lifts and n-cycle images all go through index maps
+    v = variety("jordan-bracket")
+    clear_cache()
+    calls = []
+    original = terms.normalize_tree
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(terms, "normalize_tree", counting)
+    assert consequences(v, 5).dim == 656
+    assert calls == []
 
 
 def test_an_arity_five_identity_spans_its_whole_orbit():
@@ -608,6 +641,13 @@ def test_an_arity_five_identity_spans_its_whole_orbit():
     space = consequences(v, 5)
     assert space.rank == reference.rank == 60
     assert space.basis.canonical_rows() == reference.canonical_rows()
+
+
+def test_an_arity_one_identity_kills_every_monomial():
+    # S_1 is trivial: the identity's row goes in as it is, through no table
+    v = parse_variety_text("op dot symmetric\nidentity: x1\n")
+    clear_cache()
+    assert [dim_multilinear(v, n) for n in range(1, 5)] == [0, 0, 0, 0]
 
 
 def test_new_pivots_rarely_land_above_stored_ones(monkeypatch):
@@ -682,7 +722,8 @@ def _reference_table(sigma, ctx):
 
 def _reference_perm_tables(ctx):
     """The (1 2 ... n) map from n = 2, as ``perm_generator_tables`` builds it."""
-    return [_reference_table(Permutation.cycle(ctx.n), ctx)] if ctx.n >= 2 else []
+    n = ctx.n
+    return [_reference_table(Permutation(tuple(range(2, n + 1)) + (1,)), ctx)] if n >= 2 else []
 
 
 def _reference_swap(ctx):
@@ -721,8 +762,15 @@ def test_index_maps_match_renormalised_trees(name):
     ops = OP_SETS[name]
     clear_cache()
     contexts = [get_context(ops, n) for n in range(1, 6)]
+    rng = random.Random(5)
     for ctx, target in zip(contexts, contexts[1:] + [None]):
         assert _every_column(ctx.perm_generator_tables(), ctx) == _reference_perm_tables(ctx)
+        # every sigma for 2 <= n <= 4, and a seeded sample at n = 5
+        sigmas = list(itertools.permutations(range(1, ctx.n + 1))) if ctx.n >= 2 else []
+        if ctx.n == 5:
+            sigmas = rng.sample(sigmas, 6)
+        assert _every_column([ctx.perm_table(s) for s in sigmas], ctx) == [
+            _reference_table(Permutation(s), ctx) for s in sigmas]
         if target is not None:
             lifts = ctx.lift_tables()
             # the type of an image is read without enumerating any type

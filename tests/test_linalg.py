@@ -558,6 +558,21 @@ def test_cancel_examples():
     assert _check_cancel((2, 3, 1), (3, 4, 1)) == ((2, 1), (3, 1))
 
 
+def test_reduce_row_divides_the_polynomial_content_only_past_lazy_degree():
+    # entries 2(1+d)(3 + d^(k-1)) and 4(1+d): the integer content 2 always
+    # goes, and the common factor 1+d once the row's degree k passes
+    # lazy_degree
+    lazy = PolyDomain.lazy_degree
+
+    def row(k):
+        return {0: (6, 6) + (0,) * (k - 3) + (2, 2), 5: (4, 4)}
+
+    for k in (lazy + 1, lazy + 2):
+        assert PolyDomain.reduce_row(row(k)) == {0: (3,) + (0,) * (k - 2) + (1,), 5: (2,)}
+    for k in (3, lazy):
+        assert PolyDomain.reduce_row(row(k)) == {0: (3, 3) + (0,) * (k - 3) + (1, 1), 5: (2, 2)}
+
+
 # -- the elimination loops, against a reference built from cancel and
 # -- mul/sub/neg one entry at a time -----------------------------------------
 

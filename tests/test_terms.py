@@ -190,9 +190,11 @@ def test_act_is_group_action(seed, n):
     rng = seeded(seed)
     e = random_element(rng, TWO_OPS, n)
     imgs = list(itertools.permutations(range(1, n + 1)))
-    s1 = Permutation(rng.choice(imgs))
-    s2 = Permutation(rng.choice(imgs))
-    assert act(s1.compose(s2), e, TWO_OPS) == act(s1, act(s2, e, TWO_OPS), TWO_OPS)
+    a, b = rng.choice(imgs), rng.choice(imgs)
+    # a after b: i -> a(b(i))
+    composed = Permutation(tuple(a[j - 1] for j in b))
+    assert act(composed, e, TWO_OPS) == act(Permutation(a), act(Permutation(b), e, TWO_OPS),
+                                            TWO_OPS)
 
 
 def test_substitute_examples():
