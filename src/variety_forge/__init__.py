@@ -17,9 +17,8 @@ from .engine import (ArityOverflowError, ConsequenceSpace, EngineError,
                      load_variety)
 from .exprs import format_element, parse_expr, parse_scalar
 from .linalg import RowBasis, nullspace
-from .operads import (FreeBasisReport, KoszulVerdict, Series, compose,
-                      free_delta_p_basis, hilbert_series, koszul_dual,
-                      koszulness_witness)
+from .operads import (FreeBasisReport, KoszulVerdict, compose, free_delta_p_basis,
+                      hilbert_series, koszul_dual, koszulness_witness)
 from .scalar import DELTA, PoleError, RationalFunction
 from .terms import (BRACKET, DOT, Element, Monomial, OpSymbol, Permutation,
                     act, depolarize_expr, multilinearize, multiply_by_var,

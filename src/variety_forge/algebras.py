@@ -319,7 +319,7 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
     for lineno, line in rest:
         parts = line.split()
         if parts[0] == "dim":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise AlgebraError("line %d: expected 'dim <n>'" % lineno)
             if dim is not None:
                 raise AlgebraError("line %d: dimension declared twice" % lineno)
@@ -328,8 +328,7 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
         try:
             lhs, rhs = line.split("=", 1)
             op_name, ei, ej = lhs.split()
-            i = int(ei.lstrip("e"))
-            j = int(ej.lstrip("e"))
+            i, j = _basis_index(ei), _basis_index(ej)
             comps = _parse_lincomb(rhs)
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise AlgebraError("line %d: cannot parse product %r" % (lineno, line)) from exc
@@ -340,6 +339,13 @@ def parse_algebra_text(text: str, name: str = "") -> Algebra:
         raise AlgebraError("algebra file lacks a 'dim' line")
     ops = tuple(op_by_name.values()) or (DOT, BRACKET)
     return Algebra(dim, ops, products, delta=delta, name=name)
+
+
+def _basis_index(token: str) -> int:
+    """k of a basis vector written e<k>, k in decimal digits."""
+    if token[:1] != "e" or not token[1:].isdecimal():
+        raise ValueError("expected e<k>, got %r" % token)
+    return int(token[1:])
 
 
 def _parse_lincomb(text: str):
@@ -357,7 +363,7 @@ def _parse_lincomb(text: str):
             coeff = _F(-1) if coeff_part == "-" else _F(1)
         else:
             coeff = _F(coeff_part.replace(" ", ""))
-        k = int(idx_part)
+        k = _basis_index("e" + idx_part)
         comps[k] = comps.get(k, _F(0)) + coeff
     return {k: c for k, c in comps.items() if c}
 

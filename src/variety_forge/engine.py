@@ -46,8 +46,8 @@ import weakref
 from fractions import Fraction
 
 from .exprs import format_element, parse_expr, read_directives
-from .linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points, to_row
-from .scalar import RationalFunction, pdeg, peval
+from .linalg import PolyDomain, RowBasis, ZZDomain, to_row
+from .scalar import RationalFunction, peval
 from .terms import (ANTISYMMETRIC, BRACKET, DOT, MONOMIALS, NONE, PLAIN, Element,
                     Monomial, TermError, depolarize_expr, ops_table)
 
@@ -618,6 +618,11 @@ def consequences(v: Variety, n: int, mode: str = "exact") -> ConsequenceSpace:
     return space
 
 
+# the sample points of d: none is 0, +-1, 1/2 or 1/3, where the catalog's
+# d-families have a pole or a jump in dimension
+_SAMPLE_POINTS = (Fraction(51, 13), Fraction(7, 5), Fraction(64, 7))
+
+
 def _sampled_spaces(varieties, n):
     """Exact spaces of the varieties, all taken at one shared sample point of d.
 
@@ -630,7 +635,7 @@ def _sampled_spaces(varieties, n):
     if not any(generic):
         return tuple(consequences(v, n) for v in varieties)
     best = None
-    for q in sampled_delta_points(3):
+    for q in _SAMPLE_POINTS:
         try:
             spaces = tuple(consequences(v.with_delta(q) if g else v, n)
                            for v, g in zip(varieties, generic))
@@ -794,19 +799,15 @@ def _in_span(v: Variety, space: ConsequenceSpace, target: Element) -> bool:
         prim = PolyDomain.reduce_row_full(element_to_row(target, ctx, None, PolyDomain))
         return basis.contains(to_row({c: peval(p, delta) for c, p in prim.items()}, ZZDomain))
     units = space.unit_types()
-    try:
-        row = element_to_row(target, ctx, delta, basis.domain, units)
-    except ValueError:
-        # d-dependent target against a d-free span: membership holds iff each
-        # d-power component lies in the span separately
-        poly_row = element_to_row(target, ctx, None, PolyDomain, units)
-        maxdeg = max(pdeg(p) for p in poly_row.values())
-        for i in range(maxdeg + 1):
-            comp = {c: p[i] for c, p in poly_row.items() if pdeg(p) >= i and p[i]}
-            if comp and not basis.contains(comp):
-                return False
-        return True
-    return basis.contains(row)
+    if delta is not None:
+        return basis.contains(element_to_row(target, ctx, delta, basis.domain, units))
+    row = element_to_row(target, ctx, None, PolyDomain, units)
+    if basis.domain is PolyDomain:
+        return basis.contains(row)
+    # a d-free span holds the target over Q(d) iff it holds each of the
+    # target's d-power components
+    return all(basis.contains({c: p[i] for c, p in row.items() if len(p) > i and p[i]})
+               for i in range(max(map(len, row.values()), default=0)))
 
 
 def equivalent(v1: Variety, v2: Variety, n: int, mode: str = "exact") -> bool:

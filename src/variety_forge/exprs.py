@@ -46,9 +46,9 @@ def _lex(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -57,7 +57,7 @@ def _lex(text):
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            if word[0] == "x" and word[1:].isdigit():
+            if word[0] == "x" and word[1:].isdecimal():
                 tokens.append(("var", int(word[1:]), i))
             else:
                 tokens.append(("ident", word, i))

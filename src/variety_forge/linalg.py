@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from fractions import Fraction
 from itertools import compress
 
@@ -430,17 +429,3 @@ def nullspace(rows, ncols: int, domain=ZZDomain) -> RowBasis:
                 entries[p] = -domain.field_div(row[f], row[p])
         out.insert(to_row(entries, domain))
     return out
-
-
-def sampled_delta_points(k: int, seed: int = 0):
-    """k random rational specialization points avoiding 0, +-1, 1/2, 1/3."""
-    rng = random.Random(seed)
-    banned = {Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 3)}
-    points = []
-    while len(points) < k:
-        q = Fraction(rng.randint(2, 97), rng.randint(1, 13))
-        if rng.random() < 0.5:
-            q = -q
-        if q not in banned and q not in points:
-            points.append(q)
-    return points

@@ -106,70 +106,35 @@ def koszul_dual(v: Variety) -> Variety:
 # ---------------------------------------------------------------------------
 # Hilbert series
 
-class Series:
-    """Truncated power series with exact rational coefficients a_1..a_N."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = [_F(c) for c in coeffs]
-        self.order = order if order is not None else len(coeffs)
-        if len(coeffs) < self.order:
-            coeffs += [_F(0)] * (self.order - len(coeffs))
-        self.coeffs = tuple(coeffs[: self.order])
-
-    def coefficient(self, n: int) -> Fraction:
-        if not (1 <= n <= self.order):
-            raise OperadError("coefficient index %d out of range" % n)
-        return self.coeffs[n - 1]
-
-    def __eq__(self, other):
-        return (isinstance(other, Series) and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __sub__(self, other):
-        order = min(self.order, other.order)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(order)], order)
-
-    def __str__(self):
-        return join_signed([signed_term(c, "t", i)
-                            for i, c in enumerate(self.coeffs, 1) if c])
-
-    def __repr__(self):
-        return "Series(%s)" % self
-
-
-def hilbert_series(dims, order: int = None) -> Series:
-    """a_n = (-1)^n dim P(n) / n! from the dimension list dims[0] = dim P(1)."""
-    if order is None:
-        order = len(dims)
-    if len(dims) < order:
-        raise OperadError("need dimensions through n=%d" % order)
+def hilbert_series(dims):
+    """(a_1, ..., a_N) with a_n = (-1)^n dim P(n) / n!, from dims = (dim P(1), ..., dim P(N))."""
     coeffs = []
     fact = 1
-    for n in range(1, order + 1):
+    for n, d in enumerate(dims, 1):
         fact *= n
-        coeffs.append(_F((-1) ** n * dims[n - 1], fact))
-    return Series(coeffs, order)
+        coeffs.append(_F((-1) ** n * d, fact))
+    return tuple(coeffs)
 
 
-def compose(f: Series, g: Series, order: int = None) -> Series:
-    """Truncated functional composition f(g(t)); g has no constant term."""
-    if order is None:
-        order = min(f.order, g.order)
+def compose(f, g):
+    """f(g(t)) through the shorter order; f and g are coefficient tuples
+    (a_1, ..., a_N), with no constant term."""
+    order = min(len(f), len(g))
     out = [_F(0)] * (order + 1)
-    gpoly = [_F(0)] + [g.coeffs[i] for i in range(min(g.order, order))]
-    gpoly += [_F(0)] * (order + 1 - len(gpoly))
+    gpoly = [_F(0)] + list(g[:order])
     power = [_F(0)] * (order + 1)
     power[0] = _F(1)
     for k in range(1, order + 1):
         power = _trunc_mul(power, gpoly, order)
-        if k <= f.order:
-            a = f.coeffs[k - 1]
-            if a:
-                for i in range(order + 1):
-                    out[i] += a * power[i]
-    return Series(out[1:], order)
+        a = f[k - 1]
+        if a:
+            for i in range(order + 1):
+                out[i] += a * power[i]
+    return tuple(out[1:])
+
+
+def _format_series(coeffs):
+    return join_signed([signed_term(c, "t", i) for i, c in enumerate(coeffs, 1) if c])
 
 
 def _trunc_mul(a, b, order):
@@ -188,20 +153,21 @@ def _trunc_mul(a, b, order):
 # Koszulness witness
 
 class KoszulVerdict:
-    def __init__(self, name, order, dims, dual_dims, series, dual_series,
-                 composed, probabilistic=False):
+    """H(t), H!(t) and H(H!(t)) through t^N from dim P(n) and dim P!(n), n = 1..N."""
+
+    def __init__(self, name, dims, dual_dims, probabilistic=False):
         self.name = name
-        self.order = order
         self.dims = tuple(dims)
         self.dual_dims = tuple(dual_dims)
-        self.series = series
-        self.dual_series = dual_series
-        self.composed = composed
+        self.order = len(self.dims)
         self.probabilistic = probabilistic
+        self.series = hilbert_series(self.dims)
+        self.dual_series = hilbert_series(self.dual_dims)
+        self.composed = compose(self.series, self.dual_series)
         # the first nonzero coefficient of H(H!(t)) - t, if any
-        diff = composed - Series([1], order)
+        diff = [c - 1 if n == 1 else c for n, c in enumerate(self.composed, 1)]
         self.deviation_order, self.deviation = next(
-            ((n, c) for n, c in enumerate(diff.coeffs, 1) if c), (None, None))
+            ((n, c) for n, c in enumerate(diff, 1) if c), (None, None))
         self.consistent = self.deviation_order is None
 
     def to_lines(self):
@@ -224,9 +190,9 @@ class KoszulVerdict:
             " (probabilistic dims)" if self.probabilistic else "")
         body = ["  dim P(n), n=1..%d:  %s" % (self.order, list(self.dims)),
                 "  dim P!(n), n=1..%d: %s" % (self.order, list(self.dual_dims)),
-                "  H(t)   = %s" % self.series,
-                "  H!(t)  = %s" % self.dual_series,
-                "  H(H!(t)) = %s" % self.composed]
+                "  H(t)   = %s" % _format_series(self.series),
+                "  H!(t)  = %s" % _format_series(self.dual_series),
+                "  H(H!(t)) = %s" % _format_series(self.composed)]
         if self.consistent:
             body.append("  consistent with Koszul through order %d" % self.order)
         else:
@@ -245,11 +211,7 @@ def koszulness_witness(v: Variety, order: int, mode: str = "exact") -> KoszulVer
     dual = koszul_dual(v)
     dims = [dim_multilinear(v, n, mode) for n in range(1, order + 1)]
     dual_dims = [dim_multilinear(dual, n, mode) for n in range(1, order + 1)]
-    h = hilbert_series(dims, order)
-    h_dual = hilbert_series(dual_dims, order)
-    composed = compose(h, h_dual, order)
-    return KoszulVerdict(v.name, order, dims, dual_dims, h, h_dual, composed,
-                         probabilistic=at_sample_point(v, mode))
+    return KoszulVerdict(v.name, dims, dual_dims, probabilistic=at_sample_point(v, mode))
 
 
 # ---------------------------------------------------------------------------

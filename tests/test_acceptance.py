@@ -105,10 +105,7 @@ def test_criterion_07_non_koszulness_witness():
     start = time.time()
     h = hilbert_series([dim_multilinear(variety("anti-poisson"), n)
                         for n in range(1, 6)])
-    c = compose(h, h, 5)
-    assert c.coefficient(1) == 1
-    assert c.coefficient(2) == c.coefficient(3) == c.coefficient(4) == 0
-    assert c.coefficient(5) == F(91, 60)
+    assert compose(h, h) == (1, 0, 0, 0, F(91, 60))
     _report(7, time.time() - start, 120, "H(H!(t)) - t has coefficient 91/60 at t^5")
 
 

@@ -88,6 +88,20 @@ def test_lincomb_parsing_variants():
     assert (2, 2) not in a.tables["m"]
 
 
+def test_digits_and_basis_indices_are_strict():
+    # str.isdigit accepts a superscript two, which int() refuses
+    with pytest.raises(AlgebraError, match=r"^line 1: expected 'dim <n>'"):
+        parse_algebra_text("dim \u00b2\n")
+    # e followed by decimal digits on both sides: no bare index, no sign,
+    # no digit separator (e1_0 is not e10)
+    for line in ("dot 1 2 = e1", "dot e+1 e2 = e1", "dot e1_0 e2 = e1",
+                 "dot e1 e2 = e1_0", "dot e1 e2 = 2*e+1", "dot ee1 e2 = e1",
+                 "dot e\u00b2 e2 = e1"):
+        with pytest.raises(AlgebraError, match=r"^line 2: cannot parse product"):
+            parse_algebra_text("dim 12\n%s\n" % line)
+    assert parse_algebra_text("dim 12\ndot e10 e2 = 3*e12\n").tables["dot"][(9, 1)] == {11: F(3)}
+
+
 def test_format_parse_roundtrip():
     for name in ("A1", "P-beta", "td1-B3", "zero"):
         a = algebra(name) if name != "P-beta" else algebra(name, beta=1)

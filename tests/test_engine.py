@@ -19,7 +19,7 @@ from variety_forge.engine import (ArityOverflowError, EngineError,
                                   format_variety, get_context, is_consequence,
                                   parse_variety_text, row_to_element)
 from variety_forge.exprs import parse_expr
-from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain, sampled_delta_points
+from variety_forge.linalg import PolyDomain, RowBasis, ZZDomain
 from variety_forge.scalar import DELTA
 from variety_forge.terms import (BRACKET, DOT, NONE, Element, OpSymbol,
                                  Permutation, TermError, act, act_monomial,
@@ -163,11 +163,19 @@ def test_delta_specialization_modes():
     assert dim_multilinear(specialized, 4) == 12
 
 
+def test_sampled_points_avoid_degenerate_values():
+    pts = engine._SAMPLE_POINTS
+    assert pts == (F(51, 13), F(7, 5), F(64, 7))
+    assert len(set(pts)) == 3
+    # the catalog's d-families have a pole or a jump in dimension at these
+    assert {F(0), F(1), F(-1), F(1, 2), F(1, 3)}.isdisjoint(pts)
+
+
 def test_sampled_mode_matches_exact_here():
     dp = variety("delta-poisson")
     space = consequences(dp, 4, mode="sampled")
     # a sampled space is the exact space at one sample point
-    assert space.variety.delta in sampled_delta_points(3)
+    assert space.variety.delta in engine._SAMPLE_POINTS
     assert space.dim == 12
     # sampled rank never exceeds the generic rank
     assert space.rank <= consequences(dp, 4).rank
@@ -235,7 +243,7 @@ def test_sampled_equivalence_shares_one_point():
     ids = list(dp.identities)
     ids[2] = ids[2].scale(1 / (13 * DELTA - 51))
     scaled = Variety(dp.ops, ids, name="scaled")
-    assert sampled_delta_points(3)[0] == F(51, 13)
+    assert engine._SAMPLE_POINTS[0] == F(51, 13)
     for n in (3, 4):
         assert equivalent(dp, scaled, n)
         assert equivalent(dp, scaled, n, mode="sampled")

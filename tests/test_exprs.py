@@ -56,6 +56,12 @@ def test_parse_errors_report_position():
             parse_expr(bad, TWO_OPS)
     with pytest.raises(ExprSyntaxError):
         parse_scalar("x1")
+    # a superscript two is no decimal digit: a syntax error with a position,
+    # not a bare int() error
+    for bad, position in (("dot(x\u00b2,x1)", 4), ("2\u00b2*dot(x1,x2)", 1)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(bad, TWO_OPS)
+        assert err.value.position == position
 
 
 def test_coefficient_grammar():

@@ -13,8 +13,8 @@ from variety_forge.engine import (ArityOverflowError, Variety, consequences,
                                   get_context)
 from variety_forge.exprs import format_element, parse_expr
 from variety_forge.linalg import RowBasis
-from variety_forge.operads import (OperadError, Series, _check_quadratic,
-                                   _dual_signature, _leaf_sign,
+from variety_forge.operads import (KoszulVerdict, OperadError, _check_quadratic,
+                                   _dual_signature, _format_series, _leaf_sign,
                                    _standard_bracketing, _swap_ops,
                                    compose, free_delta_p_basis,
                                    hilbert_series, koszul_dual,
@@ -229,21 +229,32 @@ def test_dual_rejects_bad_presentations():
 
 def test_hilbert_series_values():
     h = hilbert_series([1, 2, 6, 12, 31])
-    assert h == Series([F(-1), F(1), F(-1), F(1, 2), F(-31, 120)])
-    assert hilbert_series([1]) == Series([F(-1)])
+    assert h == (F(-1), F(1), F(-1), F(1, 2), F(-31, 120))
+    assert hilbert_series([1]) == (F(-1),)
     # derived by plugging (n-1)!+1 into (-1)^n dim/n!
-    assert hilbert_series([1, 2, 3, 7, 25]) == \
-        Series([F(-1), F(1), F(-1, 2), F(7, 24), F(-5, 24)])
-    assert str(Series([1, -1, 0, F(1, 2), -3])) == "t - t^2 + 1/2*t^4 - 3*t^5"
+    assert hilbert_series([1, 2, 3, 7, 25]) == (F(-1), F(1), F(-1, 2), F(7, 24), F(-5, 24))
+    assert _format_series((1, -1, 0, F(1, 2), -3)) == "t - t^2 + 1/2*t^4 - 3*t^5"
 
 
 def test_compose_examples():
     h = hilbert_series([1, 2, 6, 12, 31])
-    c = compose(h, h, 5)
-    assert c == Series([F(1), 0, 0, 0, F(91, 60)])
-    f = Series([F(3), F(-2), F(5)])
-    assert compose(f, Series([1], 3), 3) == f
-    assert compose(Series([-1]), Series([-1]), 1) == Series([1])
+    assert compose(h, h) == (F(1), 0, 0, 0, F(91, 60))
+    f = (F(3), F(-2), F(5))
+    assert compose(f, (1, 0, 0)) == f
+    # truncated at the shorter input
+    assert compose(f, (1,)) == (3,)
+    assert compose((1,), f) == (3,)
+    assert compose((-1,), (-1,)) == (1,)
+
+
+def test_koszul_verdict_from_dims():
+    # the order, both series, the composition and the deviation come from the dims
+    w = KoszulVerdict("x", (1, 1), (1, 2))
+    assert w.order == 2 and not w.probabilistic
+    assert w.series == (-1, F(1, 2)) and w.dual_series == (-1, 1)
+    # -(-t + t^2) + (-t + t^2)^2 / 2 = t - t^2/2 through t^2
+    assert w.composed == (1, F(-1, 2)) and (w.deviation_order, w.deviation) == (2, F(-1, 2))
+    assert not w.consistent
 
 
 def test_koszulness_witnesses():
